@@ -46,13 +46,6 @@ class BettiTable:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BettiTable)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
     def to_obj(self) -> dict:
         return {
             "n": self.n,

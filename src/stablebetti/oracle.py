@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import lshift
 
 from .betti import BettiTable, corner_sequence, ek_betti
 from .errors import BadRange, BudgetExceeded, CapTooLow
@@ -73,6 +74,20 @@ def _product_is_zero(a: list[list[int]], b: list[list[int]]) -> bool:
     return True
 
 
+def _faces(s: int) -> list[tuple[int, int]]:
+    """Signed faces of the subset bitmask s: (s minus bit b, sign), with
+    signs alternating over the set bits in increasing order."""
+    out = []
+    sign = 1
+    rest = s
+    while rest:
+        low = rest & -rest
+        out.append((s ^ low, sign))
+        sign = -sign
+        rest ^= low
+    return out
+
+
 # Homology dimensions of one block shape, keyed by support size and the
 # bitmask of valid subsets. Shapes repeat heavily across multidegrees and
 # across ideals, so the memo is shared module-wide.
@@ -87,23 +102,26 @@ def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
     for s in range(1 << p):
         if mask >> s & 1:
             by_size[s.bit_count()].append(s)
-    pos = [{s: t for t, s in enumerate(level)} for level in by_size]
-    mats: list[list[list[int]]] = [[]]
-    for i in range(1, p + 1):
-        rows = [[0] * len(by_size[i]) for _ in range(len(by_size[i - 1]))]
-        for c, s in enumerate(by_size[i]):
-            sign = 1
-            for b in range(p):
-                if s >> b & 1:
-                    rows[pos[i - 1][s ^ (1 << b)]][c] = sign
-                    sign = -sign
-        mats.append(rows)
-    for i in range(2, p + 1):
-        if not _product_is_zero(mats[i - 1], mats[i]):
-            raise AssertionError("Koszul boundary does not square to zero")
+    faces = {s: _faces(s) for level in by_size for s in level}
+    # The family is downward-closed, so d(d(e_s)) over the valid subsets s
+    # is exactly the product of consecutive boundary matrices, column by
+    # column.
+    for level in by_size[2:]:
+        for s in level:
+            acc: dict[int, int] = {}
+            for t, sign in faces[s]:
+                for u, sign2 in faces[t]:
+                    acc[u] = acc.get(u, 0) + sign * sign2
+            if any(acc.values()):
+                raise AssertionError("Koszul boundary does not square to zero")
     ranks = [0] * (p + 2)
     for i in range(1, p + 1):
-        ranks[i] = integer_rank(mats[i])
+        pos = {s: t for t, s in enumerate(by_size[i - 1])}
+        rows = [[0] * len(by_size[i]) for _ in range(len(by_size[i - 1]))]
+        for c, s in enumerate(by_size[i]):
+            for t, sign in faces[s]:
+                rows[pos[t]][c] = sign
+        ranks[i] = integer_rank(rows)
     dims = tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(p + 1))
     _shape_homology_cache[(p, mask)] = dims
     return dims
@@ -118,33 +136,81 @@ def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
     return sorted(pts)
 
 
+# Down-set tables keyed by (support guards, free guards), as built in
+# _point_masks: bit s of the table is set exactly when the subset s of
+# support positions lies inside the free ones. The free guards are a
+# subset of the support guards, so there are at most 3^n keys per field
+# width (the two n = 8 chain fixtures make 1,551).
+_down_set_cache: dict[tuple[int, int], int] = {}
+
+
+def _down_set(supp_guards: int, free_guards: int) -> int:
+    table = _down_set_cache.get((supp_guards, free_guards))
+    if table is None:
+        free = 0
+        rest = supp_guards
+        b = 0
+        while rest:
+            low = rest & -rest
+            if free_guards & low:
+                free |= 1 << b
+            rest ^= low
+            b += 1
+        table = 0
+        s = free
+        while True:
+            table |= 1 << s
+            if not s:
+                break
+            s = (s - 1) & free
+        _down_set_cache[(supp_guards, free_guards)] = table
+    return table
+
+
+def _point_masks(ideal: MonomialIdeal):
+    """Yield (a, p, mask) for each lcm point a of a nonzero ideal.
+
+    p is the support size of a, and bit s of mask is set when a - e_S
+    lies in the ideal, S being the support positions picked by the bits
+    of s (bit b for the b-th support variable). That holds exactly when
+    S lies inside free(g) = {t : g_t < a_t} for some generator g dividing
+    a, so one pass over the generators replaces a membership test per
+    subset; no stability is assumed.
+
+    Monomials are packed into integers, one field of w bits per variable
+    with its top (guard) bit clear, so a field-wise comparison of all
+    variables is one subtraction: the guard bit of a field survives
+    (a | guards) - g exactly when a_t >= g_t.
+    """
+    w = max(map(max, ideal.gens)).bit_length() + 1
+    shifts = range(0, w * ideal.n, w)
+    lows = sum(1 << s for s in shifts)
+    guards = lows << (w - 1)
+    packed = [sum(map(lshift, g, shifts)) for g in ideal.gens]
+    for a in lcm_multidegrees(ideal):
+        top = sum(map(lshift, a, shifts)) | guards
+        supp_guards = (top - lows) & guards
+        p = supp_guards.bit_count()
+        below = top - (supp_guards >> (w - 1))  # g_t < a_t iff g_t <= below_t
+        frees = {
+            (below - g) & supp_guards for g in packed if (top - g) & guards == guards
+        }
+        if supp_guards in frees:
+            mask = (1 << (1 << p)) - 1  # every subset of a free support
+        else:
+            mask = 0
+            for free_guards in frees:
+                mask |= _down_set(supp_guards, free_guards)
+        yield a, p, mask
+
+
 def _ideal_tor(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
     """dim Tor_i(I, k)_j for a monomial ideal, keys (i, j), zeros omitted."""
     out: dict[tuple[int, int], int] = {}
-    contains = ideal.contains
-    for a in lcm_multidegrees(ideal):
-        supp = [t for t, e in enumerate(a) if e]
-        p = len(supp)
-        interior = tuple(e - 1 if e else 0 for e in a)
-        if contains(interior):
+    for a, p, mask in _point_masks(ideal):
+        if mask >> ((1 << p) - 1) & 1:
+            # a - (1, ..., 1) on the support is in I: a simplex block
             continue
-        # Valid subsets form a downward-closed family; a subset needs a
-        # membership test only when all its one-smaller subsets are valid.
-        mask = 1
-        for s in range(1, 1 << p):
-            ok = True
-            for b in range(p):
-                if s >> b & 1 and not mask >> (s ^ (1 << b)) & 1:
-                    ok = False
-                    break
-            if ok:
-                q = list(a)
-                for b in range(p):
-                    if s >> b & 1:
-                        q[supp[b]] -= 1
-                ok = contains(tuple(q))
-            if ok:
-                mask |= 1 << s
         j = sum(a)
         for i, dim in enumerate(_shape_homology(p, mask)):
             if dim:

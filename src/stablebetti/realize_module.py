@@ -31,6 +31,7 @@ from .monomials import mul_var, unit
 from .realize_ideal import (
     ADMISSIBLE,
     MODE_COUPLED,
+    MODE_STRICT,
     REJECTED,
     UNCOVERED,
     CornerSpec,
@@ -125,9 +126,11 @@ def find_corner_matrix(
         raise InfeasibleSpec(verdict.reason)
     r = spec.r
     patterns = _admissible_patterns(spec, m)
-    strict_caps = {
-        rows: compute_bounds(sub).bounds for rows, sub in patterns if rows
-    }
+    strict_caps = (
+        {rows: compute_bounds(sub).bounds for rows, sub in patterns if rows}
+        if mode == MODE_STRICT
+        else {}
+    )
     single_cap = [stratum_size(c.k, c.ell) for c in spec.corners]
     nodes = [0]
 

@@ -2,6 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from koszul_reference import (
+    dense_shape_homology,
+    downward_closed_masks,
+    reference_mask,
+)
 
 from stablebetti import (
     BudgetExceeded,
@@ -10,6 +17,7 @@ from stablebetti import (
     GradedComplexSlice,
     MonomialIdeal,
     MonomialSubmodule,
+    borel_closure,
     bruteforce_realizability,
     corner_sequence,
     ek_betti,
@@ -19,6 +27,7 @@ from stablebetti import (
     lcm_multidegrees,
     parse_monomial,
 )
+from stablebetti import oracle
 from stablebetti.betti import Corner
 
 
@@ -126,6 +135,62 @@ def test_dense_slice_on_shifted_module():
         dims = GradedComplexSlice.build(module, j).homology()
         for i in range(3):
             assert dims.get(i, 0) == table.beta(i, j)
+
+
+@st.composite
+def _monomial_sets(draw):
+    """n <= 4 variables and 1..6 monomials of degree 1..4, any shape."""
+    n = draw(st.integers(1, 4))
+    variables = st.lists(st.integers(0, n - 1), min_size=1, max_size=4)
+    monos = []
+    for picks in draw(st.lists(variables, min_size=1, max_size=6)):
+        monos.append(tuple(picks.count(t) for t in range(n)))
+    return n, monos
+
+
+@settings(deadline=None)
+@given(_monomial_sets())
+def test_free_coordinate_masks_match_membership_tests(case):
+    n, monos = case
+    ideal = MonomialIdeal.from_generators(n, monos)
+    points = list(oracle._point_masks(ideal))
+    assert [a for a, _p, _mask in points] == lcm_multidegrees(ideal)
+    for a, p, mask in points:
+        assert p == sum(1 for e in a if e)
+        assert mask == reference_mask(ideal, a), a
+
+
+@settings(deadline=None)
+@given(_monomial_sets())
+def test_koszul_matches_generator_formula_on_borel_closures(case):
+    n, monos = case
+    ideal = borel_closure(n, monos)
+    assert koszul_betti(ideal) == ek_betti(ideal)
+
+
+def test_shape_homology_matches_dense_on_every_small_shape(monkeypatch):
+    monkeypatch.setattr(oracle, "_shape_homology_cache", {})
+    counts = []
+    for p in range(5):
+        masks = list(downward_closed_masks(p))
+        counts.append(len(masks))
+        for mask in masks:
+            assert oracle._shape_homology(p, mask) == dense_shape_homology(p, mask)
+    # Dedekind numbers minus the empty family
+    assert counts == [1, 2, 5, 19, 167]
+
+
+def test_shape_homology_refuses_a_boundary_that_does_not_square_to_zero(
+    monkeypatch,
+):
+    def unsigned_faces(s):
+        return [(face, 1) for face, _sign in oracle_faces(s)]
+
+    oracle_faces = oracle._faces
+    monkeypatch.setattr(oracle, "_shape_homology_cache", {})
+    monkeypatch.setattr(oracle, "_faces", unsigned_faces)
+    with pytest.raises(AssertionError, match="does not square to zero"):
+        oracle._shape_homology(2, 0b1111)
 
 
 def test_census_frozen_counts():
