@@ -63,7 +63,13 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def with_input(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    def with_input(name, func, help):
+        p = command(name, func, help)
         p.add_argument(
             "-i",
             "--input",
@@ -72,17 +78,23 @@ def _build_parser() -> _Parser:
         )
         return p
 
-    with_input(sub.add_parser("betti", help="Betti table of a stable input"))
-    with_input(
-        sub.add_parser("corners", help="corner report for an ideal or module")
-    )
-    with_input(
-        sub.add_parser("check-stable", help="stability check, never errors")
-    )
-    with_input(sub.add_parser("diagram", help="plain-text Betti diagram"))
+    def with_mode(name, func, help):
+        p = with_input(name, func, help)
+        p.add_argument(
+            "--mode",
+            choices=sorted(MODES),
+            default=None,
+            help='value-bound regime; overrides the document "mode" key',
+        )
+        return p
+
+    with_input("betti", _cmd_betti, "Betti table of a stable input")
+    with_input("corners", _cmd_corners, "corner report for an ideal or module")
+    with_input("check-stable", _cmd_check_stable, "stability check, never errors")
+    with_input("diagram", _cmd_diagram, "plain-text Betti diagram")
 
     p = with_input(
-        sub.add_parser("oracle-betti", help="Betti table from Koszul homology")
+        "oracle-betti", _cmd_oracle_betti, "Betti table from Koszul homology"
     )
     p.add_argument(
         "--degree-cap",
@@ -91,26 +103,10 @@ def _build_parser() -> _Parser:
         help="refuse tables reaching this internal degree (default: safe)",
     )
 
-    p = with_input(
-        sub.add_parser("realize-ideal", help="construct an ideal from a spec")
-    )
-    p.add_argument(
-        "--mode",
-        choices=sorted(MODES),
-        default=None,
-        help='value-bound regime; overrides the document "mode" key',
-    )
+    with_mode("realize-ideal", _cmd_realize_ideal, "construct an ideal from a spec")
 
-    p = with_input(
-        sub.add_parser(
-            "realize-module", help="construct a direct sum from a spec"
-        )
-    )
-    p.add_argument(
-        "--mode",
-        choices=sorted(MODES),
-        default=None,
-        help='value-bound regime; overrides the document "mode" key',
+    p = with_mode(
+        "realize-module", _cmd_realize_module, "construct a direct sum from a spec"
     )
     p.add_argument(
         "--m",
@@ -119,8 +115,8 @@ def _build_parser() -> _Parser:
         help='component count; overrides the document "m" key',
     )
 
-    p = sub.add_parser(
-        "census", help="enumerate strongly stable ideals, one JSON line each"
+    p = command(
+        "census", _cmd_census, "enumerate strongly stable ideals, one JSON line each"
     )
     p.add_argument("-n", type=int, required=True, help="number of variables")
     p.add_argument(
@@ -153,16 +149,14 @@ def _stars(table):
     return {c for c, _v in corner_sequence(table)}
 
 
+def _table_doc(table) -> dict:
+    """The table with its starred diagram, as the table-printing commands emit it."""
+    return {"table": table.to_obj(), "diagram": render_diagram(table, _stars(table))}
+
+
 def _cmd_betti(args, stdout, stdin) -> int:
     module = parse_module_or_ideal(_read_input(args.input, stdin))
-    table = ek_betti(module)
-    _dump(
-        {
-            "table": table.to_obj(),
-            "diagram": render_diagram(table, _stars(table)),
-        },
-        stdout,
-    )
+    _dump(_table_doc(ek_betti(module)), stdout)
     return 0
 
 
@@ -207,10 +201,7 @@ def _cmd_diagram(args, stdout, stdin) -> int:
 def _cmd_oracle_betti(args, stdout, stdin) -> int:
     module = parse_module_or_ideal(_read_input(args.input, stdin))
     table = koszul_betti(module, degree_cap=args.degree_cap)
-    out = {
-        "table": table.to_obj(),
-        "diagram": render_diagram(table, _stars(table)),
-    }
+    out = _table_doc(table)
     if all(
         not c.is_zero and c.is_stable() for c in module.components
     ):
@@ -229,11 +220,7 @@ def _spec_and_mode(args, stdin) -> tuple[CornerSpec, str, dict]:
 def _cmd_realize_ideal(args, stdout, stdin) -> int:
     spec, mode, _obj = _spec_and_mode(args, stdin)
     realization = construct_ideal(spec, mode)
-    table = ek_betti(realization.ideal)
-    out = realization.to_obj()
-    out["table"] = table.to_obj()
-    out["diagram"] = render_diagram(table, _stars(table))
-    _dump(out, stdout)
+    _dump(realization.to_obj() | _table_doc(ek_betti(realization.ideal)), stdout)
     return 0
 
 
@@ -245,15 +232,11 @@ def _cmd_realize_module(args, stdout, stdin) -> int:
             'realize-module needs a component count: pass --m or an "m" key'
         )
     realization = realize_module(spec, m, mode)
-    table = ek_betti(realization.module)
-    out = realization.to_obj()
-    out["table"] = table.to_obj()
-    out["diagram"] = render_diagram(table, _stars(table))
-    _dump(out, stdout)
+    _dump(realization.to_obj() | _table_doc(ek_betti(realization.module)), stdout)
     return 0
 
 
-def _cmd_census(args, stdout) -> int:
+def _cmd_census(args, stdout, stdin) -> int:
     for ideal in enumerate_strongly_stable(
         args.n,
         args.max_degree,
@@ -287,23 +270,7 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("stablebetti: a COMMAND is required (see --help)")
-        if args.command == "betti":
-            return _cmd_betti(args, stdout, stdin)
-        if args.command == "corners":
-            return _cmd_corners(args, stdout, stdin)
-        if args.command == "check-stable":
-            return _cmd_check_stable(args, stdout, stdin)
-        if args.command == "diagram":
-            return _cmd_diagram(args, stdout, stdin)
-        if args.command == "oracle-betti":
-            return _cmd_oracle_betti(args, stdout, stdin)
-        if args.command == "realize-ideal":
-            return _cmd_realize_ideal(args, stdout, stdin)
-        if args.command == "realize-module":
-            return _cmd_realize_module(args, stdout, stdin)
-        if args.command == "census":
-            return _cmd_census(args, stdout)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.func(args, stdout, stdin)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except (

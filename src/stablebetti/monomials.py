@@ -9,7 +9,6 @@ is deliberately undefined; use :func:`lex_compare`, which rejects it.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Iterator
 
@@ -41,21 +40,12 @@ def degree(u: Monomial) -> int:
     return sum(u)
 
 
-def support(u: Monomial) -> tuple[int, ...]:
-    """1-based indices of the variables dividing u."""
-    return tuple(i + 1 for i, e in enumerate(u) if e)
-
-
 def max_index(u: Monomial) -> int:
     """Largest index of a variable dividing u; 0 for the unit monomial."""
     for i in range(len(u) - 1, -1, -1):
         if u[i]:
             return i + 1
     return 0
-
-
-def multiply(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def mul_var(u: Monomial, i: int, power: int = 1) -> Monomial:
@@ -110,10 +100,6 @@ def borel_moves(u: Monomial) -> list[Monomial]:
     return out
 
 
-def count_degree(n: int, d: int) -> int:
-    return math.comb(n + d - 1, d)
-
-
 def iter_degree(n: int, d: int) -> Iterator[Monomial]:
     """All degree-d monomials in n variables, lex-descending."""
     if n < 1:
@@ -126,10 +112,6 @@ def iter_degree(n: int, d: int) -> Iterator[Monomial]:
     for e in range(d, -1, -1):
         for rest in iter_degree(n - 1, d - e):
             yield (e,) + rest
-
-
-def enumerate_degree(n: int, d: int) -> list[Monomial]:
-    return list(iter_degree(n, d))
 
 
 def parse_monomial(text: str, n: int) -> Monomial:

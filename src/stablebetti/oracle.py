@@ -12,8 +12,8 @@ The multidegree decomposition rests on two standard facts. Nonzero
 homology only occurs in multidegrees that are least common multiples of
 generator subsets (the Taylor complex has no basis elsewhere), and the
 block at such a multidegree depends only on which subsets of its support
-divide out without leaving the ideal. Blocks whose full support divides
-out are simplex complexes and contribute nothing.
+divide out without leaving the ideal. Blocks whose full, non-empty
+support divides out are simplex complexes and contribute nothing.
 """
 
 from __future__ import annotations
@@ -208,8 +208,9 @@ def _ideal_tor(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
     """dim Tor_i(I, k)_j for a monomial ideal, keys (i, j), zeros omitted."""
     out: dict[tuple[int, int], int] = {}
     for a, p, mask in _point_masks(ideal):
-        if mask >> ((1 << p) - 1) & 1:
-            # a - (1, ..., 1) on the support is in I: a simplex block
+        if p and mask >> ((1 << p) - 1) & 1:
+            # a - (1, ..., 1) on a non-empty support is in I: a simplex
+            # block (the empty support of the unit ideal's point is not)
             continue
         j = sum(a)
         for i, dim in enumerate(_shape_homology(p, mask)):

@@ -267,6 +267,7 @@ class BoundReport:
 
 def _window_members(spec: CornerSpec) -> list[list[Monomial]]:
     """Per corner, the window A_i: peak-stratum elements down to its bottom."""
+    _require_admissible(spec)
     t = _tail_index(spec)
     out = []
     for i, c in enumerate(spec.corners):
@@ -282,18 +283,11 @@ def _window_members(spec: CornerSpec) -> list[list[Monomial]]:
     return out
 
 
-def compute_bounds(spec: CornerSpec) -> BoundReport:
-    """Strict value caps b_i for an admissible spec.
-
-    b_1 counts the first window whole; later windows lose the iterated
-    shadow of the entire previous window before counting.
-    """
-    _require_admissible(spec)
-    t = _tail_index(spec)
-    members = _window_members(spec)
+def _strict_report(spec: CornerSpec, members) -> BoundReport:
+    """Caps when each shadow starts at the previous window's bottom."""
     windows = []
     for i, c in enumerate(spec.corners):
-        seg = lex_shadow(spec.n, members[i - 1] if i else [], c.ell)
+        seg = lex_shadow(spec.n, members[i - 1][-1:] if i else [], c.ell)
         avail = set_difference(members[i], seg)
         windows.append(
             CornerWindow(
@@ -304,7 +298,34 @@ def compute_bounds(spec: CornerSpec) -> BoundReport:
                 bound=len(avail),
             )
         )
-    return BoundReport(spec, t, windows)
+    return BoundReport(spec, _tail_index(spec), windows)
+
+
+def _coupled_walk(
+    spec: CornerSpec, members, values
+) -> tuple[list[int], list[Monomial], int | None]:
+    """Caps and picks when each shadow starts at the previous pick."""
+    bounds: list[int] = []
+    picks: list[Monomial] = []
+    for i in range(spec.r):
+        seg = lex_shadow(spec.n, [picks[i - 1]] if i else [], spec.corners[i].ell)
+        avail = set_difference(members[i], seg)
+        bounds.append(len(avail))
+        if i >= len(values):
+            break
+        if values[i] > len(avail):
+            return bounds, picks, i
+        picks.append(avail[values[i] - 1])
+    return bounds, picks, None
+
+
+def compute_bounds(spec: CornerSpec) -> BoundReport:
+    """Strict value caps b_i for an admissible spec.
+
+    b_1 counts the first window whole; later windows lose the iterated
+    shadow of the entire previous window before counting.
+    """
+    return _strict_report(spec, _window_members(spec))
 
 
 def coupled_chain(
@@ -320,20 +341,7 @@ def coupled_chain(
     None. When values is a proper prefix, bounds carries one extra entry:
     the cap for the next position.
     """
-    _require_admissible(spec)
-    members = _window_members(spec)
-    bounds: list[int] = []
-    picks: list[Monomial] = []
-    for i in range(spec.r):
-        seg = lex_shadow(spec.n, [picks[i - 1]] if i else [], spec.corners[i].ell)
-        avail = set_difference(members[i], seg)
-        bounds.append(len(avail))
-        if i >= len(values):
-            break
-        if values[i] > len(avail):
-            return bounds, picks, i
-        picks.append(avail[values[i] - 1])
-    return bounds, picks, None
+    return _coupled_walk(spec, _window_members(spec), values)
 
 
 @dataclass(frozen=True)
@@ -354,31 +362,27 @@ class ValueVerdict:
         }
 
 
-def check_values(spec: CornerSpec, mode: str = MODE_COUPLED) -> ValueVerdict:
-    """Judge the requested values against the chosen mode's caps."""
-    _check_mode(mode)
-    if mode == MODE_STRICT:
-        bounds = compute_bounds(spec).bounds
-        violation = next(
-            (i for i, (a, b) in enumerate(zip(spec.values, bounds)) if a > b),
-            None,
-        )
-        return ValueVerdict(
-            mode,
-            violation is None,
-            spec.values,
-            bounds,
-            None if violation is None else violation + 1,
-        )
-    bounds, _picks, violation = coupled_chain(spec, spec.values)
-    padded = tuple(bounds) + (None,) * (spec.r - len(bounds))
+def _verdict(spec: CornerSpec, mode: str, bounds) -> ValueVerdict:
+    """Judge the values against a walk's caps; None past a coupled violation."""
+    violation = next(
+        (i for i, (a, b) in enumerate(zip(spec.values, bounds)) if a > b), None
+    )
     return ValueVerdict(
         mode,
         violation is None,
         spec.values,
-        padded,
+        tuple(bounds) + (None,) * (spec.r - len(bounds)),
         None if violation is None else violation + 1,
     )
+
+
+def check_values(spec: CornerSpec, mode: str = MODE_COUPLED) -> ValueVerdict:
+    """Judge the requested values against the chosen mode's caps."""
+    _check_mode(mode)
+    members = _window_members(spec)
+    if mode == MODE_STRICT:
+        return _verdict(spec, mode, _strict_report(spec, members).bounds)
+    return _verdict(spec, mode, _coupled_walk(spec, members, spec.values)[0])
 
 
 @dataclass(frozen=True)
@@ -409,6 +413,11 @@ class IdealRealization:
         }
 
 
+def _corner_text(sequence) -> str:
+    """A corner sequence as ((k, l), value) pairs, for failure messages."""
+    return str([((c.k, c.ell), v) for c, v in sequence])
+
+
 def _verify_realization(
     ideal: MonomialIdeal, spec: CornerSpec, planned: list[Monomial]
 ) -> None:
@@ -427,10 +436,8 @@ def _verify_realization(
     want = list(zip(spec.corners, spec.values))
     if got != want:
         raise VerificationFailed(
-            "constructed ideal has corner sequence "
-            + str([((c.k, c.ell), v) for c, v in got])
-            + ", wanted "
-            + str([((c.k, c.ell), v) for c, v in want])
+            f"constructed ideal has corner sequence {_corner_text(got)}, "
+            f"wanted {_corner_text(want)}"
         )
 
 
@@ -445,8 +452,12 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
     corner degrees; a mismatch raises VerificationFailed.
     """
     _check_mode(mode)
-    strict_verdict = check_values(spec, MODE_STRICT)
-    coupled_verdict = check_values(spec, MODE_COUPLED)
+    members = _window_members(spec)
+    report = _strict_report(spec, members)
+    bounds, picks, violation = _coupled_walk(spec, members, spec.values)
+    del members  # released before the block strata are built
+    strict_verdict = _verdict(spec, MODE_STRICT, report.bounds)
+    coupled_verdict = _verdict(spec, MODE_COUPLED, bounds)
     verdict = strict_verdict if mode == MODE_STRICT else coupled_verdict
     if not verdict.feasible:
         i = verdict.first_violation
@@ -454,8 +465,6 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
             f"corner {i} requests {spec.values[i - 1]} but the {mode} cap "
             f"is {verdict.bounds[i - 1]}"
         )
-    report = compute_bounds(spec)
-    _bounds, picks, violation = coupled_chain(spec, spec.values)
     if violation is not None:
         # strict acceptance always implies coupled acceptance
         raise InfeasibleSpec(

@@ -38,10 +38,12 @@ from .realize_ideal import (
     IdealRealization,
     PositionVerdict,
     _check_mode,
-    _require_admissible,
+    _corner_text,
+    _coupled_walk,
+    _window_members,
+    check_values,
     compute_bounds,
     construct_ideal,
-    coupled_chain,
     validate_positions,
 )
 from .segments import stratum_size
@@ -73,9 +75,7 @@ def validate_module_spec(spec: CornerSpec, m: int) -> PositionVerdict:
 
 def column_bounds(spec: CornerSpec, pattern) -> tuple[int, ...]:
     """Strict per-row value caps for one column's row pattern (0-based rows)."""
-    sub = spec.sub_spec(tuple(pattern), values=None)
-    _require_admissible(sub)
-    return compute_bounds(sub).bounds
+    return compute_bounds(spec.sub_spec(tuple(pattern))).bounds
 
 
 def _admissible_patterns(spec: CornerSpec, m: int):
@@ -146,7 +146,8 @@ def find_corner_matrix(
     columns: list[tuple[int, ...]] = []
     found: list[CornerMatrix] = []
 
-    def fill_column(rows, sub, pos: int, entries: list[int]) -> bool:
+    # windows: sub's coupled-mode window set, shared by one column attempt
+    def fill_column(rows, sub, windows, pos: int, entries: list[int]) -> bool:
         spend()
         if pos == len(rows):
             column = [0] * r
@@ -160,7 +161,7 @@ def find_corner_matrix(
                 rem[i] += entries[t]
             return ok
         if mode == MODE_COUPLED:
-            bounds, _picks, violation = coupled_chain(sub, entries)
+            bounds, _picks, violation = _coupled_walk(sub, windows, entries)
             cap = 0 if violation is not None else bounds[-1]
         else:
             cap = strict_caps[rows][pos]
@@ -172,7 +173,7 @@ def find_corner_matrix(
         floor = max(1, rem[i] - cols_after * single_cap[i])
         for v in range(cap, floor - 1, -1):
             entries.append(v)
-            if fill_column(rows, sub, pos + 1, entries):
+            if fill_column(rows, sub, windows, pos + 1, entries):
                 return True
             entries.pop()
         return False
@@ -206,8 +207,10 @@ def find_corner_matrix(
                 if place(h + 1):
                     return True
                 columns.pop()
-            elif fill_column(rows, sub, 0, []):
-                return True
+            else:
+                windows = _window_members(sub) if mode == MODE_COUPLED else None
+                if fill_column(rows, sub, windows, 0, []):
+                    return True
         return False
 
     if place(0):
@@ -240,31 +243,21 @@ def validate_corner_matrix(
             continue
         entries = [matrix[i][h] for i in rows]
         sub = spec.sub_spec(rows, values=tuple(entries))
-        if not validate_positions(sub).admissible:
+        try:  # check_values screens the positions before anything else
+            verdict = check_values(sub, mode)
+        except (InfeasibleSpec, UncoveredByCharacterization) as exc:
             return (
                 False,
-                f"column {h + 1} pattern {rows} fails position screening: "
-                f"{validate_positions(sub).reason}",
+                f"column {h + 1} pattern {rows} fails position screening: {exc}",
             )
-        if mode == MODE_COUPLED:
-            _bounds, _picks, violation = coupled_chain(sub, entries)
-            if violation is not None:
-                return (
-                    False,
-                    f"column {h + 1} entry {violation + 1} exceeds its "
-                    f"coupled cap",
-                )
-        else:
-            caps = compute_bounds(sub).bounds
-            bad = next(
-                (t for t, (v, b) in enumerate(zip(entries, caps)) if v > b), None
+        bad = verdict.first_violation
+        if bad is not None:
+            cap = (
+                f"strict cap {verdict.bounds[bad - 1]}"
+                if mode == MODE_STRICT
+                else "coupled cap"
             )
-            if bad is not None:
-                return (
-                    False,
-                    f"column {h + 1} entry {bad + 1} exceeds its strict cap "
-                    f"{caps[bad]}",
-                )
+            return False, f"column {h + 1} entry {bad} exceeds its {cap}"
     return True, None
 
 
@@ -330,10 +323,8 @@ def construct_module(
     want = list(zip(spec.corners, spec.values))
     if got != want:
         raise VerificationFailed(
-            "assembled module has corner sequence "
-            + str([((c.k, c.ell), v) for c, v in got])
-            + ", wanted "
-            + str([((c.k, c.ell), v) for c, v in want])
+            f"assembled module has corner sequence {_corner_text(got)}, "
+            f"wanted {_corner_text(want)}"
         )
     view = corner_matrix(module)
     if view.corners != spec.corners or view.rows != tuple(
@@ -409,8 +400,7 @@ def normalize_module(
     after = corner_sequence(ek_betti(result))
     if after != before:
         raise VerificationFailed(
-            "normalization moved the corner sequence: "
-            + str([((c.k, c.ell), v) for c, v in after])
+            f"normalization moved the corner sequence: {_corner_text(after)}"
         )
     view2 = corner_matrix(result)
     for h, ideal in enumerate(result.components):

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from stablebetti import (
 )
 from stablebetti import oracle
 from stablebetti.betti import Corner
+from stablebetti.cli import run
 
 
 def _rational_rank(rows):
@@ -83,6 +86,22 @@ def test_koszul_needs_no_stability():
     ideal = MonomialIdeal.from_strings(3, ["x1*x2", "x3^2"])
     table = koszul_betti(ideal)
     assert table.entries == {(0, 2): 2, (1, 4): 1}
+
+
+def test_unit_ideal_has_one_generator_in_degree_zero():
+    # R itself: beta_{0,0} = 1. The lcm point 0 has an empty support, which
+    # must not be mistaken for a simplex block.
+    for n in (1, 2, 3):
+        ideal = MonomialIdeal.from_strings(n, ["1"])
+        assert koszul_betti(ideal).entries == {(0, 0): 1}
+        assert GradedComplexSlice.build(ideal, 0).homology() == {0: 1}
+    out, err = io.StringIO(), io.StringIO()
+    doc = json.dumps({"n": 2, "generators": ["1"]})
+    code = run(["oracle-betti"], stdout=out, stderr=err, stdin=io.StringIO(doc))
+    assert (code, err.getvalue()) == (0, "")
+    payload = json.loads(out.getvalue())
+    assert payload["table"]["entries"] == [{"beta": 1, "i": 0, "j": 0}]
+    assert payload["diagram"] == "-1: 1"
 
 
 def test_koszul_on_shifted_module():

@@ -1,7 +1,11 @@
+import importlib
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stablebetti import (
     Corner,
@@ -9,6 +13,7 @@ from stablebetti import (
     InfeasibleSpec,
     MODE_COUPLED,
     MODE_STRICT,
+    MODES,
     MonomialIdeal,
     SpecError,
     UncoveredByCharacterization,
@@ -183,6 +188,53 @@ def test_construct_ideal_strict_mode_rejects_coupled_only_values():
     with pytest.raises(InfeasibleSpec):
         construct_ideal(s, MODE_STRICT)
     assert construct_ideal(s, MODE_COUPLED).ideal.is_strongly_stable()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_construct_ideal_builds_each_window_once(monkeypatch, mode):
+    # the package re-exports shadow the submodule names, so fetch the module
+    module = importlib.import_module("stablebetti.realize_ideal")
+    original = module.stratum
+    built = []
+
+    def counting_stratum(n, k, d, bounded=False):
+        built.append(bounded)
+        return original(n, k, d, bounded)
+
+    monkeypatch.setattr(module, "stratum", counting_stratum)
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
+    construct_ideal(s, mode)
+    assert built.count(False) == s.r  # one window stratum per corner
+    assert built.count(True) == s.r  # one bounded block stratum per corner
+
+
+@st.composite
+def _admissible_specs(draw):
+    """n <= 7, r <= 3, values <= 12, positions passing the screen."""
+    n = draw(st.integers(2, 7))
+    r = draw(st.integers(1, min(3, n - 1)))
+    ks = sorted(draw(st.sets(st.integers(1, n - 1), min_size=r, max_size=r)))
+    first = draw(st.integers(2, 4))
+    steps = draw(st.lists(st.integers(1, 2), min_size=r - 1, max_size=r - 1))
+    ls = list(itertools.accumulate([first] + steps))
+    values = draw(st.lists(st.integers(1, 12), min_size=r, max_size=r))
+    s = spec(n, zip(reversed(ks), ls), values)
+    assume(validate_positions(s).admissible)
+    return s
+
+
+@settings(deadline=None, max_examples=100)
+@given(_admissible_specs(), st.sampled_from(MODES))
+def test_construct_ideal_agrees_with_the_separate_entry_points(s, mode):
+    if not check_values(s, mode).feasible:
+        with pytest.raises(InfeasibleSpec):
+            construct_ideal(s, mode)
+        return
+    out = construct_ideal(s, mode)
+    assert out.bound_report == compute_bounds(s)
+    assert out.strict_verdict == check_values(s, MODE_STRICT)
+    assert out.coupled_verdict == check_values(s, MODE_COUPLED)
+    assert list(out.picks) == coupled_chain(s, s.values)[1]
 
 
 def test_chain_constructor_simple_segment():
