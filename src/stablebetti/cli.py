@@ -28,7 +28,6 @@ from .betti import (
 from .errors import (
     InfeasibleSpec,
     NotStable,
-    RankOutOfRange,
     StableBettiError,
     UncoveredByCharacterization,
     VerificationFailed,
@@ -169,23 +168,25 @@ def _cmd_corners(args, stdout, stdin) -> int:
 def _cmd_check_stable(args, stdout, stdin) -> int:
     module = parse_module_or_ideal(_read_input(args.input, stdin))
     stable = all(c.is_stable() for c in module.components)
-    strongly = all(c.is_strongly_stable() for c in module.components)
     violation = None
-    if not strongly:
-        for h, ideal in enumerate(module.components):
-            hit = ideal.stability_violation(strong=True)
-            if hit is not None:
-                g, i, j, moved = hit
-                violation = {
-                    "component": h + 1,
-                    "generator": format_monomial(g),
-                    "variable": i,
-                    "target": j,
-                    "moved": format_monomial(moved) if moved else None,
-                }
-                break
+    for h, ideal in enumerate(module.components):
+        hit = ideal.stability_violation(strong=True)
+        if hit is not None:
+            g, i, j, moved = hit
+            violation = {
+                "component": h + 1,
+                "generator": format_monomial(g),
+                "variable": i,
+                "target": j,
+                "moved": format_monomial(moved) if moved else None,
+            }
+            break
     _dump(
-        {"stable": stable, "strongly_stable": strongly, "violation": violation},
+        {
+            "stable": stable,
+            "strongly_stable": violation is None,
+            "violation": violation,
+        },
         stdout,
     )
     return 0
@@ -220,7 +221,7 @@ def _spec_and_mode(args, stdin) -> tuple[CornerSpec, str, dict]:
 def _cmd_realize_ideal(args, stdout, stdin) -> int:
     spec, mode, _obj = _spec_and_mode(args, stdin)
     realization = construct_ideal(spec, mode)
-    _dump(realization.to_obj() | _table_doc(ek_betti(realization.ideal)), stdout)
+    _dump(realization.to_obj() | _table_doc(realization.table), stdout)
     return 0
 
 
@@ -232,7 +233,7 @@ def _cmd_realize_module(args, stdout, stdin) -> int:
             'realize-module needs a component count: pass --m or an "m" key'
         )
     realization = realize_module(spec, m, mode)
-    _dump(realization.to_obj() | _table_doc(ek_betti(realization.module)), stdout)
+    _dump(realization.to_obj() | _table_doc(realization.table), stdout)
     return 0
 
 
@@ -252,7 +253,7 @@ def _exit_code(exc: BaseException) -> int:
         return 4
     if isinstance(exc, UncoveredByCharacterization):
         return 3
-    if isinstance(exc, (NotStable, InfeasibleSpec, RankOutOfRange)):
+    if isinstance(exc, (NotStable, InfeasibleSpec)):
         return 2
     return 1
 

@@ -27,19 +27,6 @@ class BadDegree(StableBettiError):
     """Degree argument outside its documented range."""
 
 
-class MixedDegrees(StableBettiError):
-    """A set operation requires all monomials to share one degree."""
-
-
-class RankOutOfRange(StableBettiError):
-    """Ranked selection past the end of the difference set."""
-
-    def __init__(self, message: str, rank: int, size: int):
-        super().__init__(message)
-        self.rank = rank
-        self.size = size
-
-
 class EmptyIdeal(StableBettiError):
     """Operation undefined on the zero ideal."""
 

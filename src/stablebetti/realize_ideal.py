@@ -12,6 +12,12 @@ subtracts only the shadow of the block actually chosen, which depends on
 the earlier values and accepts more. A strict-feasible vector is always
 coupled-feasible.
 
+Nothing is listed to get there. A window is the peak stratum from its top
+down to an explicit bottom monomial, and a shadow is everything lex above
+an explicit floor, so each cap is a difference of two lex ranks, each
+pick is an unrank, and each block of generators is a run of consecutive
+ranks (segments.lex_count, segments.lex_unrank).
+
 Constructors verify their own output (strong stability, exact corner
 sequence, generators confined to the corner degrees) before returning.
 """
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import Corner, corner_sequence, ek_betti
+from .betti import BettiTable, Corner, corner_sequence, ek_betti
 from .errors import (
     InfeasibleSpec,
     SpecError,
@@ -28,16 +34,8 @@ from .errors import (
     VerificationFailed,
 )
 from .ideals import MonomialIdeal
-from .monomials import (
-    Monomial,
-    degree,
-    format_monomial,
-    lex_compare,
-    mul_var,
-    unit,
-    variable,
-)
-from .segments import LexSegment, lex_shadow, set_difference, stratum
+from .monomials import Monomial, degree, format_monomial, mul_var, unit, variable
+from .segments import lex_count, lex_unrank, stratum_member, stratum_rank
 
 MODE_STRICT = "strict-paper"
 MODE_COUPLED = "coupled"
@@ -156,25 +154,16 @@ def validate_positions(spec: CornerSpec) -> PositionVerdict:
 
     With first degree >= 3 every well-formed position sequence passes.
     With first degree 2 a final homological position of 1 falls outside
-    the decided cases (UNCOVERED), r can reach at most n-2, and hitting
-    that maximum forces the first position to be n-1.
+    the decided cases (UNCOVERED). The characterization also needs the
+    first position to be n-1 once r reaches n-2, but a well-formed spec
+    meets that already: r = n-2 decreasing positions in 2..n-1 start at
+    n-1. So no well-formed position sequence is rejected.
     """
-    first = spec.corners[0]
-    lastk = spec.corners[-1].k
-    if first.ell >= 3:
-        return PositionVerdict(ADMISSIBLE)
-    if lastk == 1:
+    if spec.corners[0].ell == 2 and spec.corners[-1].k == 1:
         return PositionVerdict(
             UNCOVERED,
             "first corner degree 2 with final homological position 1 is "
             "outside the decided cases",
-        )
-    if spec.r == spec.n - 2 and first.k != spec.n - 1:
-        return PositionVerdict(
-            REJECTED,
-            f"with first corner degree 2 and {spec.r} corners on {spec.n} "
-            f"variables the first homological position must be {spec.n - 1}, "
-            f"got {first.k}",
         )
     return PositionVerdict(ADMISSIBLE)
 
@@ -183,8 +172,6 @@ def _require_admissible(spec: CornerSpec) -> None:
     verdict = validate_positions(spec)
     if verdict.status == UNCOVERED:
         raise UncoveredByCharacterization(verdict.reason)
-    if verdict.status == REJECTED:
-        raise InfeasibleSpec(verdict.reason)
 
 
 def _tail_index(spec: CornerSpec) -> int:
@@ -265,57 +252,53 @@ class BoundReport:
         return {"t": self.t, "windows": [w.to_obj() for w in self.windows]}
 
 
-def _window_members(spec: CornerSpec) -> list[list[Monomial]]:
-    """Per corner, the window A_i: peak-stratum elements down to its bottom."""
+def _windows(spec: CornerSpec) -> list[tuple[Monomial, int]]:
+    """Per corner, the window A_i as (bottom, size): the peak-stratum
+    members from the top down to the corner's least admissible one."""
     _require_admissible(spec)
     t = _tail_index(spec)
     out = []
     for i, c in enumerate(spec.corners):
         bottom = _corner_bottom(spec, i, t)
-        members = []
-        for u in stratum(spec.n, c.k, c.ell):
-            if lex_compare(u, bottom) < 0:
-                break
-            members.append(u)
-        if not members:
+        size = stratum_rank(bottom, c.k)
+        if not size:
             raise AssertionError("corner window came out empty")
-        out.append(members)
+        out.append((bottom, size))
     return out
 
 
-def _strict_report(spec: CornerSpec, members) -> BoundReport:
+def _shadow_floor(spec: CornerSpec, i: int, prev: Monomial) -> Monomial:
+    """Bottom of the lex shadow in corner i's degree (i >= 1) of the initial
+    segment down to prev: everything >= prev * x_n^(l_i - l_{i-1}). The
+    window members outside the shadow are those ranked past the floor."""
+    return mul_var(prev, spec.n, spec.corners[i].ell - spec.corners[i - 1].ell)
+
+
+def _strict_report(spec: CornerSpec, windows) -> BoundReport:
     """Caps when each shadow starts at the previous window's bottom."""
-    windows = []
+    out = []
     for i, c in enumerate(spec.corners):
-        seg = lex_shadow(spec.n, members[i - 1][-1:] if i else [], c.ell)
-        avail = set_difference(members[i], seg)
-        windows.append(
-            CornerWindow(
-                corner=c,
-                bottom=members[i][-1],
-                size=len(members[i]),
-                shadow_floor=None if seg.is_empty else seg.bottom,
-                bound=len(avail),
-            )
-        )
-    return BoundReport(spec, _tail_index(spec), windows)
+        floor = _shadow_floor(spec, i, windows[i - 1][0]) if i else None
+        shaded = stratum_rank(floor, c.k) if i else 0
+        bottom, size = windows[i]
+        out.append(CornerWindow(c, bottom, size, floor, max(0, size - shaded)))
+    return BoundReport(spec, _tail_index(spec), out)
 
 
 def _coupled_walk(
-    spec: CornerSpec, members, values
+    spec: CornerSpec, windows, values
 ) -> tuple[list[int], list[Monomial], int | None]:
     """Caps and picks when each shadow starts at the previous pick."""
     bounds: list[int] = []
     picks: list[Monomial] = []
-    for i in range(spec.r):
-        seg = lex_shadow(spec.n, [picks[i - 1]] if i else [], spec.corners[i].ell)
-        avail = set_difference(members[i], seg)
-        bounds.append(len(avail))
+    for i, c in enumerate(spec.corners):
+        shaded = stratum_rank(_shadow_floor(spec, i, picks[i - 1]), c.k) if i else 0
+        bounds.append(max(0, windows[i][1] - shaded))
         if i >= len(values):
             break
-        if values[i] > len(avail):
+        if values[i] > bounds[i]:
             return bounds, picks, i
-        picks.append(avail[values[i] - 1])
+        picks.append(stratum_member(spec.n, c.k, c.ell, shaded + values[i]))
     return bounds, picks, None
 
 
@@ -325,7 +308,7 @@ def compute_bounds(spec: CornerSpec) -> BoundReport:
     b_1 counts the first window whole; later windows lose the iterated
     shadow of the entire previous window before counting.
     """
-    return _strict_report(spec, _window_members(spec))
+    return _strict_report(spec, _windows(spec))
 
 
 def coupled_chain(
@@ -341,7 +324,7 @@ def coupled_chain(
     None. When values is a proper prefix, bounds carries one extra entry:
     the cap for the next position.
     """
-    return _coupled_walk(spec, _window_members(spec), values)
+    return _coupled_walk(spec, _windows(spec), values)
 
 
 @dataclass(frozen=True)
@@ -379,10 +362,10 @@ def _verdict(spec: CornerSpec, mode: str, bounds) -> ValueVerdict:
 def check_values(spec: CornerSpec, mode: str = MODE_COUPLED) -> ValueVerdict:
     """Judge the requested values against the chosen mode's caps."""
     _check_mode(mode)
-    members = _window_members(spec)
+    windows = _windows(spec)
     if mode == MODE_STRICT:
-        return _verdict(spec, mode, _strict_report(spec, members).bounds)
-    return _verdict(spec, mode, _coupled_walk(spec, members, spec.values)[0])
+        return _verdict(spec, mode, _strict_report(spec, windows).bounds)
+    return _verdict(spec, mode, _coupled_walk(spec, windows, spec.values)[0])
 
 
 @dataclass(frozen=True)
@@ -395,6 +378,7 @@ class IdealRealization:
     bound_report: BoundReport
     strict_verdict: ValueVerdict
     coupled_verdict: ValueVerdict
+    table: BettiTable  # the witness's Betti table, from its verification
 
     def to_obj(self) -> dict:
         return {
@@ -420,7 +404,7 @@ def _corner_text(sequence) -> str:
 
 def _verify_realization(
     ideal: MonomialIdeal, spec: CornerSpec, planned: list[Monomial]
-) -> None:
+) -> BettiTable:
     if set(ideal.gens) != set(planned):
         raise VerificationFailed(
             "constructed generators are not minimal as planned"
@@ -432,13 +416,15 @@ def _verify_realization(
         raise VerificationFailed(
             "constructed ideal has generators outside the corner degrees"
         )
-    got = corner_sequence(ek_betti(ideal))
+    table = ek_betti(ideal)
+    got = corner_sequence(table)
     want = list(zip(spec.corners, spec.values))
     if got != want:
         raise VerificationFailed(
             f"constructed ideal has corner sequence {_corner_text(got)}, "
             f"wanted {_corner_text(want)}"
         )
+    return table
 
 
 def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealization:
@@ -452,10 +438,9 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
     corner degrees; a mismatch raises VerificationFailed.
     """
     _check_mode(mode)
-    members = _window_members(spec)
-    report = _strict_report(spec, members)
-    bounds, picks, violation = _coupled_walk(spec, members, spec.values)
-    del members  # released before the block strata are built
+    windows = _windows(spec)
+    report = _strict_report(spec, windows)
+    bounds, picks, violation = _coupled_walk(spec, windows, spec.values)
     strict_verdict = _verdict(spec, MODE_STRICT, report.bounds)
     coupled_verdict = _verdict(spec, MODE_COUPLED, bounds)
     verdict = strict_verdict if mode == MODE_STRICT else coupled_verdict
@@ -472,21 +457,14 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
         )
     blocks: list[tuple[Monomial, ...]] = []
     for i, c in enumerate(spec.corners):
-        bounded = stratum(spec.n, c.k, c.ell, bounded=True)
-        if i == 0:
-            block = [v for v in bounded if lex_compare(v, picks[0]) >= 0]
-        else:
-            delta = c.ell - spec.corners[i - 1].ell
-            floor = mul_var(picks[i - 1], spec.n, delta)
-            block = [
-                v
-                for v in bounded
-                if lex_compare(v, floor) < 0 and lex_compare(v, picks[i]) >= 0
-            ]
-        blocks.append(tuple(block))
+        # the monomials in x1..x_{k+1} below the previous pick's shadow
+        # (none before the first corner) down to this corner's pick
+        above = lex_count(_shadow_floor(spec, i, picks[i - 1]), c.k + 1) if i else 0
+        ranks = range(above + 1, lex_count(picks[i], c.k + 1) + 1)
+        blocks.append(tuple(lex_unrank(spec.n, c.k + 1, c.ell, j) for j in ranks))
     planned = [g for block in blocks for g in block]
     ideal = MonomialIdeal.from_generators(spec.n, planned)
-    _verify_realization(ideal, spec, planned)
+    table = _verify_realization(ideal, spec, planned)
     return IdealRealization(
         spec,
         mode,
@@ -496,6 +474,7 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
         report,
         strict_verdict,
         coupled_verdict,
+        table,
     )
 
 
@@ -518,11 +497,15 @@ def construct_degree2_chain(spec: CornerSpec) -> MonomialIdeal:
     ks = [c.k for c in spec.corners]
     ls = [c.ell for c in spec.corners]
     s = max(i for i in range(1, r + 1) if i <= ks[i - 1] + 1)
+
+    def segment(top, bottom):
+        """The degree-deg(top) monomials from top down to bottom."""
+        ranks = range(lex_count(top, n), lex_count(bottom, n) + 1)
+        return [lex_unrank(n, n, degree(top), j) for j in ranks]
+
     blocks: list[list[Monomial]] = []
     top = mul_var(unit(n), 1, 2)
-    blocks.append(
-        LexSegment(n, top, mul_var(variable(n, 1), ks[0] + 1)).materialize()
-    )
+    blocks.append(segment(top, mul_var(variable(n, 1), ks[0] + 1)))
     for i1 in range(2, s + 1):
         prefix = [0] * n
         for j1 in range(2, i1):
@@ -533,9 +516,7 @@ def construct_degree2_chain(spec: CornerSpec) -> MonomialIdeal:
         bottom = list(prefix)
         bottom[i1 - 1] += jump + 1
         bottom[ks[i1 - 1]] += 1
-        blocks.append(
-            LexSegment(n, tuple(top), tuple(bottom)).materialize()
-        )
+        blocks.append(segment(tuple(top), tuple(bottom)))
     for i1 in range(s + 1, r + 1):
         k = ks[i1 - 1]
         exps = [0] * n

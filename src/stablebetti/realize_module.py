@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import corner_matrix, corner_sequence, ek_betti
+from .betti import BettiTable, corner_matrix, corner_sequence, ek_betti
 from .errors import (
     InfeasibleSpec,
     SpecError,
@@ -40,7 +40,7 @@ from .realize_ideal import (
     _check_mode,
     _corner_text,
     _coupled_walk,
-    _window_members,
+    _windows,
     check_values,
     compute_bounds,
     construct_ideal,
@@ -146,7 +146,7 @@ def find_corner_matrix(
     columns: list[tuple[int, ...]] = []
     found: list[CornerMatrix] = []
 
-    # windows: sub's coupled-mode window set, shared by one column attempt
+    # windows: sub's coupled-mode windows, shared by one column attempt
     def fill_column(rows, sub, windows, pos: int, entries: list[int]) -> bool:
         spend()
         if pos == len(rows):
@@ -208,7 +208,7 @@ def find_corner_matrix(
                     return True
                 columns.pop()
             else:
-                windows = _window_members(sub) if mode == MODE_COUPLED else None
+                windows = _windows(sub) if mode == MODE_COUPLED else None
                 if fill_column(rows, sub, windows, 0, []):
                     return True
         return False
@@ -282,6 +282,7 @@ class ModuleRealization:
     matrix: CornerMatrix
     module: MonomialSubmodule
     columns: tuple[IdealRealization | None, ...]  # None marks a filler
+    table: BettiTable  # the module's Betti table, from its verification
 
     def to_obj(self) -> dict:
         return {
@@ -319,7 +320,8 @@ def construct_module(
         components.append(realization.ideal)
         columns.append(realization)
     module = MonomialSubmodule(spec.n, tuple(components))
-    got = corner_sequence(ek_betti(module))
+    table = ek_betti(module)
+    got = corner_sequence(table)
     want = list(zip(spec.corners, spec.values))
     if got != want:
         raise VerificationFailed(
@@ -333,7 +335,7 @@ def construct_module(
         raise VerificationFailed(
             "assembled module does not reproduce the requested corner matrix"
         )
-    return ModuleRealization(spec, mode, tuple(matrix), module, tuple(columns))
+    return ModuleRealization(spec, mode, tuple(matrix), module, tuple(columns), table)
 
 
 def realize_module(

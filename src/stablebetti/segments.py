@@ -1,29 +1,28 @@
-"""Lex segments, shadows, and max-index strata of a fixed degree.
+"""Lex ranks and max-index strata of a fixed degree.
 
 All sets handled here live inside a single degree, ordered lex-descending.
 The stratum A(k, d) collects the degree-d monomials whose largest dividing
-variable is exactly x_{k+1}; its bounded variant allows any index <= k+1.
+variable is exactly x_{k+1}.
+
+Ranks are counted, not listed: the degree-d monomials in x1..x_m that are
+lex >= v number a sum of binomials over the first position where a larger
+monomial can exceed v (the combinatorial number system, Knuth TAOCP 4A
+7.2.1.3), and the j-th of them is recovered by the same sums in reverse.
+A(k, d) is the monomials in x1..x_{k+1} minus those in x1..x_k, so its
+ranks are differences of two counts, and its members are x_{k+1} times the
+degree-(d-1) monomials in x1..x_{k+1}, in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import math
 
-from .errors import BadDegree, BadRange, MixedDegrees, RankOutOfRange
-from .monomials import (
-    Monomial,
-    degree,
-    format_monomial,
-    iter_degree,
-    mul_var,
-)
+from .errors import BadDegree, BadRange
+from .monomials import Monomial, degree, iter_degree, mul_var
 
 
-def stratum(n: int, k: int, d: int, bounded: bool = False) -> list[Monomial]:
-    """A(k, d) (or A(<=k, d) when bounded), lex-descending.
+def stratum(n: int, k: int, d: int) -> list[Monomial]:
+    """A(k, d), lex-descending.
 
     |A(k, d)| = C(k+d-1, d-1): the degree-d monomials in x1..x_{k+1}
     divisible by x_{k+1}.
@@ -33,8 +32,6 @@ def stratum(n: int, k: int, d: int, bounded: bool = False) -> list[Monomial]:
     if d < 1:
         raise BadDegree(f"need d >= 1, got {d}")
     pad = (0,) * (n - k - 1)
-    if bounded:
-        return [w + pad for w in iter_degree(k + 1, d)]
     out = []
     for w in iter_degree(k + 1, d - 1):
         u = w[:k] + (w[k] + 1,) + pad
@@ -46,106 +43,51 @@ def stratum_size(k: int, d: int) -> int:
     return math.comb(k + d - 1, d - 1)
 
 
-def shadow(n: int, monos: Iterable[Monomial], steps: int = 1) -> list[Monomial]:
-    """All products of the input monomials with `steps` extra variables."""
-    if steps < 0:
-        raise BadRange(f"need steps >= 0, got {steps}")
-    current = set(monos)
-    degs = {degree(u) for u in current}
-    if len(degs) > 1:
-        raise MixedDegrees(f"shadow input mixes degrees {sorted(degs)}")
-    for _ in range(steps):
-        current = {mul_var(u, i) for u in current for i in range(1, n + 1)}
-    return sorted(current, reverse=True)
+def lex_count(v: Monomial, m: int) -> int:
+    """How many degree-deg(v) monomials in x1..x_m are lex >= v.
 
-
-@dataclass(frozen=True)
-class LexSegment:
-    """The monomials of one degree between `top` and `bottom`, inclusive.
-
-    `top is None` encodes the empty segment (the shadow of nothing).
+    v may involve variables past x_m; it is then counted only by the
+    monomials above it.
     """
-
-    n: int
-    top: Monomial | None
-    bottom: Monomial | None
-
-    def __post_init__(self):
-        if (self.top is None) != (self.bottom is None):
-            raise BadRange("top and bottom must both be set or both be None")
-        if self.top is not None:
-            if len(self.top) != self.n or len(self.bottom) != self.n:
-                raise BadRange("segment endpoints live in a different ring")
-            if degree(self.top) != degree(self.bottom):
-                raise MixedDegrees("segment endpoints must share one degree")
-            if self.top < self.bottom:
-                raise BadRange(
-                    f"empty range: top {format_monomial(self.top)} below "
-                    f"bottom {format_monomial(self.bottom)}"
-                )
-
-    @classmethod
-    def empty(cls, n: int) -> "LexSegment":
-        return cls(n, None, None)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.top is None
-
-    @property
-    def degree(self) -> int:
-        if self.is_empty:
-            raise BadDegree("the empty segment has no degree")
-        return degree(self.top)
-
-    def contains(self, u: Monomial) -> bool:
-        if self.is_empty:
-            return False
-        if len(u) != self.n or degree(u) != self.degree:
-            return False
-        return self.bottom <= u <= self.top
-
-    def materialize(self) -> list[Monomial]:
-        if self.is_empty:
-            return []
-        d = self.degree
-        return [u for u in iter_degree(self.n, d) if self.bottom <= u <= self.top]
+    rem = degree(v)
+    count = 0
+    for i in range(m):
+        # u agrees with v before position i and exceeds it at i; the
+        # remaining degree rem - u_i - ... spreads over m-1-i variables
+        if v[i] < rem:
+            count += math.comb(rem - v[i] - 1 + m - 1 - i, m - 1 - i)
+        rem -= v[i]
+    return count + (rem == 0)
 
 
-def lex_shadow(n: int, monos: Sequence[Monomial], target_degree: int) -> LexSegment:
-    """Iterated shadow of a set, described as the lex segment it fills.
-
-    For a non-empty input of degree d and target degree l >= d this is the
-    segment from x1^l down to min(input) * xn^(l-d). The empty input gives
-    the empty segment.
-    """
-    monos = list(monos)
-    if not monos:
-        return LexSegment.empty(n)
-    degs = {degree(u) for u in monos}
-    if len(degs) > 1:
-        raise MixedDegrees(f"lex shadow input mixes degrees {sorted(degs)}")
-    d = degs.pop()
-    if target_degree < d:
-        raise BadDegree(f"target degree {target_degree} below input degree {d}")
-    top = (target_degree,) + (0,) * (n - 1)
-    bottom = mul_var(min(monos), n, target_degree - d)
-    return LexSegment(n, top, bottom)
-
-
-def set_difference(aset: Sequence[Monomial], seg: LexSegment) -> list[Monomial]:
-    """A \\ L for a lex-descending A; order preserved."""
-    return [u for u in aset if not seg.contains(u)]
+def lex_unrank(n: int, m: int, d: int, j: int) -> Monomial:
+    """The j-th (1-based, lex-descending) degree-d monomial in x1..x_m,
+    as a monomial in n variables."""
+    if not 1 <= j <= math.comb(d + m - 1, m - 1):
+        raise BadRange(f"rank {j} outside the degree-{d} monomials in x1..x{m}")
+    exps = [0] * n
+    rem = d
+    for i in range(m - 1):
+        q = m - 1 - i  # variables after position i
+        e = rem
+        while True:
+            # monomials with u_i = e and the rest of degree rem - e
+            block = math.comb(rem - e + q - 1, q - 1)
+            if j <= block:
+                break
+            j -= block
+            e -= 1
+        exps[i] = e
+        rem -= e
+    exps[m - 1] = rem
+    return tuple(exps)
 
 
-def set_difference_ranked(aset: Sequence[Monomial], seg: LexSegment, rank: int) -> Monomial:
-    """The rank-th element (1-based, lex-descending) of A \\ L.
+def stratum_rank(v: Monomial, k: int) -> int:
+    """How many members of A(k, deg v) are lex >= v."""
+    return lex_count(v, k + 1) - lex_count(v, k)
 
-    RankOutOfRange here is exactly how a violated value bound shows up.
-    """
-    diff = set_difference(aset, seg)
-    if not 1 <= rank <= len(diff):
-        raise RankOutOfRange(
-            f"rank {rank} outside 1..{len(diff)}", rank=rank, size=len(diff)
-        )
-    return diff[rank - 1]
+
+def stratum_member(n: int, k: int, d: int, j: int) -> Monomial:
+    """The j-th (1-based, lex-descending) member of A(k, d)."""
+    return mul_var(lex_unrank(n, k + 1, d - 1, j), k + 1)

@@ -5,6 +5,8 @@ in degree 2) and two module bundles whose corner matrices and component
 ownership facts are known exactly.
 """
 
+import sys
+
 import pytest
 
 from stablebetti import MonomialIdeal, MonomialSubmodule
@@ -59,6 +61,17 @@ BUNDLE3_GENS = {
         "x3^5",
     ],
 }
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Swap a package function for another in every stablebetti module
+    that holds it, the package namespace included."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "stablebetti":
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, replacement)
 
 
 @pytest.fixture(scope="session")

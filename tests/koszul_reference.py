@@ -4,11 +4,95 @@ The oracle builds each lcm point's subset mask from the free coordinates
 of the generators dividing it, and checks d(d) = 0 face by face. These
 are the straightforward versions they replaced: one membership test per
 subset, and a dense product of consecutive boundary matrices. The tests
-compare the two bit for bit.
+compare the two bit for bit. GradedComplexSlice goes one step further
+back: the whole Koszul complex of a module in one internal degree, with
+dense matrices, straight from the definition.
 """
 
-from stablebetti.ideals import MonomialIdeal
-from stablebetti.oracle import _product_is_zero, integer_rank
+import itertools
+from dataclasses import dataclass
+
+from stablebetti.ideals import MonomialIdeal, MonomialSubmodule
+from stablebetti.monomials import Monomial, mul_var
+from stablebetti.oracle import integer_rank
+
+
+def product_is_zero(a: list[list[int]], b: list[list[int]]) -> bool:
+    if not a or not b or not b[0]:
+        return True
+    for arow in a:
+        for c in range(len(b[0])):
+            if sum(arow[t] * b[t][c] for t in range(len(b))) != 0:
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class GradedComplexSlice:
+    """The Koszul complex of a module in one fixed internal degree.
+
+    bases[i] lists (variable subset, component, monomial) triples: subsets
+    ascending in lex order, then component index, then module monomials
+    lex-descending. differentials[i] is the integer matrix of d_i from
+    bases[i] to bases[i-1]; the build checks d(d(x)) = 0.
+
+    This is the dense, definition-shaped view. koszul_betti never touches
+    it; the tests use it to cross-check the blockwise computation.
+    """
+
+    n: int
+    degree: int
+    bases: tuple[tuple[tuple[tuple[int, ...], int, Monomial], ...], ...]
+    differentials: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @classmethod
+    def build(
+        cls, module: MonomialSubmodule | MonomialIdeal, j: int
+    ) -> "GradedComplexSlice":
+        if isinstance(module, MonomialIdeal):
+            module = MonomialSubmodule.of_ideal(module)
+        n = module.n
+        bases = []
+        for i in range(n + 1):
+            level = []
+            for sigma in itertools.combinations(range(1, n + 1), i):
+                for h, (ideal, f) in enumerate(
+                    zip(module.components, module.shifts)
+                ):
+                    d = j - i - f
+                    if d < 0:
+                        continue
+                    for u in ideal.graded_slice(d):
+                        level.append((sigma, h, u))
+            bases.append(tuple(level))
+        mats: list[tuple[tuple[int, ...], ...]] = [()]
+        for i in range(1, n + 1):
+            index = {key: t for t, key in enumerate(bases[i - 1])}
+            rows = [[0] * len(bases[i]) for _ in range(len(bases[i - 1]))]
+            for c, (sigma, h, u) in enumerate(bases[i]):
+                sign = 1
+                for t, var in enumerate(sigma):
+                    target = (sigma[:t] + sigma[t + 1 :], h, mul_var(u, var))
+                    rows[index[target]][c] += sign
+                    sign = -sign
+            mats.append(tuple(tuple(r) for r in rows))
+        for i in range(2, n + 1):
+            if not product_is_zero(
+                [list(r) for r in mats[i - 1]], [list(r) for r in mats[i]]
+            ):
+                raise AssertionError("Koszul boundary does not square to zero")
+        return cls(n, j, tuple(bases), tuple(mats))
+
+    def homology(self) -> dict[int, int]:
+        """dim H_i per homological index; H_i equals beta_{i, degree}."""
+        ranks = [integer_rank([list(r) for r in mat]) for mat in self.differentials]
+        ranks.append(0)
+        out = {}
+        for i in range(self.n + 1):
+            dim = len(self.bases[i]) - ranks[i] - ranks[i + 1]
+            if dim:
+                out[i] = dim
+        return out
 
 
 def reference_mask(ideal: MonomialIdeal, a) -> int:
@@ -54,7 +138,7 @@ def dense_shape_homology(p: int, mask: int) -> tuple[int, ...]:
                     sign = -sign
         mats.append(rows)
     for i in range(2, p + 1):
-        if not _product_is_zero(mats[i - 1], mats[i]):
+        if not product_is_zero(mats[i - 1], mats[i]):
             raise AssertionError("Koszul boundary does not square to zero")
     ranks = [0] * (p + 2)
     for i in range(1, p + 1):

@@ -4,7 +4,7 @@ import json
 from stablebetti import (
     InfeasibleSpec,
     NotStable,
-    RankOutOfRange,
+    SpecError,
     UncoveredByCharacterization,
     VerificationFailed,
     __version__,
@@ -240,4 +240,4 @@ def test_exit_code_mapping():
     assert _exit_code(UncoveredByCharacterization("x")) == 3
     assert _exit_code(NotStable("x", 1)) == 2
     assert _exit_code(InfeasibleSpec("x")) == 2
-    assert _exit_code(RankOutOfRange("x", 9, 3)) == 2
+    assert _exit_code(SpecError("x")) == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from koszul_reference import (
+    GradedComplexSlice,
     dense_shape_homology,
     downward_closed_masks,
     reference_mask,
@@ -16,7 +17,6 @@ from stablebetti import (
     BudgetExceeded,
     CapTooLow,
     CornerSpec,
-    GradedComplexSlice,
     MonomialIdeal,
     MonomialSubmodule,
     borel_closure,

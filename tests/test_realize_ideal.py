@@ -1,9 +1,12 @@
 import importlib
+import io
 import itertools
 import json
 import random
 
 import pytest
+import window_reference as reference
+from conftest import patch_everywhere
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,17 +19,22 @@ from stablebetti import (
     MODES,
     MonomialIdeal,
     SpecError,
+    StableBettiError,
     UncoveredByCharacterization,
     check_values,
     compute_bounds,
     construct_degree2_chain,
     construct_ideal,
+    construct_module,
     corner_sequence,
     coupled_chain,
     ek_betti,
+    find_corner_matrix,
     format_monomial,
     validate_positions,
 )
+from stablebetti import betti, monomials, segments
+from stablebetti.cli import run
 
 
 def spec(n, pairs, values):
@@ -83,6 +91,20 @@ def test_validate_positions_branches():
     maxed = validate_positions(spec(5, [(4, 2), (3, 3), (2, 4)], [1, 1, 1]))
     assert maxed.admissible
     assert validate_positions(spec(5, [(3, 2), (2, 3)], [1, 1])).admissible
+
+
+def test_no_well_formed_first_degree_2_positions_are_rejected():
+    # the verdict reads only n, the positions and the first degree, so
+    # degrees 2, 3, ... cover every first-degree-2 position sequence
+    seen = 0
+    for n in range(2, 11):
+        for r in range(1, n):
+            for ks in itertools.combinations(range(n - 1, 0, -1), r):
+                s = spec(n, zip(ks, range(2, 2 + r)), [1] * r)
+                status = validate_positions(s).status
+                assert status == ("uncovered" if ks[-1] == 1 else "admissible")
+                seen += 1
+    assert seen == 1013
 
 
 def test_bounds_three_corner_fixture():
@@ -194,18 +216,49 @@ def test_construct_ideal_strict_mode_rejects_coupled_only_values():
 def test_construct_ideal_builds_each_window_once(monkeypatch, mode):
     # the package re-exports shadow the submodule names, so fetch the module
     module = importlib.import_module("stablebetti.realize_ideal")
-    original = module.stratum
-    built = []
+    original_bottom = module._corner_bottom
+    original_windows = module._windows
+    bottoms = []
+    window_sets = []
 
-    def counting_stratum(n, k, d, bounded=False):
-        built.append(bounded)
-        return original(n, k, d, bounded)
+    def counting_bottom(spec, i, t):
+        bottoms.append(i)
+        return original_bottom(spec, i, t)
 
-    monkeypatch.setattr(module, "stratum", counting_stratum)
+    def counting_windows(spec):
+        window_sets.append(spec)
+        return original_windows(spec)
+
+    monkeypatch.setattr(module, "_corner_bottom", counting_bottom)
+    monkeypatch.setattr(module, "_windows", counting_windows)
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
     construct_ideal(s, mode)
-    assert built.count(False) == s.r  # one window stratum per corner
-    assert built.count(True) == s.r  # one bounded block stratum per corner
+    assert window_sets == [s]  # one window set feeds bounds, verdicts, blocks
+    assert bottoms == list(range(s.r))  # one window per corner
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_realization_lists_no_stratum(monkeypatch, mode):
+    # windows, caps, picks and blocks are all counted by lex rank, so no
+    # realization path may list a stratum or a whole degree
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stratum or a whole degree was listed")
+
+    patch_everywhere(monkeypatch, segments.stratum, refuse)
+    patch_everywhere(monkeypatch, monomials.iter_degree, refuse)
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
+    out = construct_ideal(s, mode)
+    assert [len(b) for b in out.blocks] == [6, 6, 1]
+    assert construct_degree2_chain(spec(4, [(3, 2), (2, 4)], [1, 1])).gens
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
+    with pytest.raises(InfeasibleSpec):  # refused after a full search
+        find_corner_matrix(s, 2, mode)
+    matrix = find_corner_matrix(s, 3, mode)
+    assert matrix == {
+        MODE_STRICT: ((3, 0, 0), (1, 7, 0), (0, 1, 3)),
+        MODE_COUPLED: ((1, 2, 0), (3, 3, 2), (1, 0, 3)),
+    }[mode]
+    assert construct_module(s, matrix, mode).matrix == matrix
 
 
 @st.composite
@@ -235,6 +288,66 @@ def test_construct_ideal_agrees_with_the_separate_entry_points(s, mode):
     assert out.strict_verdict == check_values(s, MODE_STRICT)
     assert out.coupled_verdict == check_values(s, MODE_COUPLED)
     assert list(out.picks) == coupled_chain(s, s.values)[1]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StableBettiError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _reference_specs(draw):
+    """n <= 9, r <= 4, values <= 20; positions unscreened."""
+    n = draw(st.integers(2, 9))
+    r = draw(st.integers(1, min(4, n - 1)))
+    ks = sorted(draw(st.sets(st.integers(1, n - 1), min_size=r, max_size=r)))
+    first = draw(st.integers(2, 4))
+    steps = draw(st.lists(st.integers(1, 2), min_size=r - 1, max_size=r - 1))
+    ls = list(itertools.accumulate([first] + steps))
+    values = draw(st.lists(st.integers(1, 20), min_size=r, max_size=r))
+    return spec(n, zip(reversed(ks), ls), values)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_reference_specs(), st.sampled_from(MODES), st.data())
+def test_rank_arithmetic_matches_the_listing_reference(s, mode, data):
+    assert _outcome(compute_bounds, s) == _outcome(reference.compute_bounds, s)
+    assert _outcome(check_values, s, mode) == _outcome(
+        reference.check_values, s, mode
+    )
+    prefix = s.values[: data.draw(st.integers(0, s.r))]
+    for values in (s.values, prefix):
+        assert _outcome(coupled_chain, s, values) == _outcome(
+            reference.coupled_chain, s, values
+        )
+    out = _outcome(construct_ideal, s, mode)
+    verdict = _outcome(reference.check_values, s, mode)
+    if isinstance(out, tuple):  # refused: positions, or a value over its cap
+        assert out == verdict or not verdict.feasible
+        return
+    assert verdict.feasible
+    assert list(out.picks) == reference.coupled_chain(s, s.values)[1]
+    assert list(out.blocks) == reference.blocks(s, list(out.picks))
+
+
+def test_realize_ideal_computes_one_witness_table(monkeypatch):
+    # the table printed is the one verification computed
+    tables = []
+
+    def counting_ek_betti(module):
+        tables.append(module)
+        return original(module)
+
+    original = betti.ek_betti
+    patch_everywhere(monkeypatch, original, counting_ek_betti)
+    doc = json.dumps(spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1]).to_obj())
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["realize-ideal"], stdout=out, stderr=err, stdin=io.StringIO(doc)) == 0
+    assert len(tables) == 1
+    table = ek_betti(MonomialIdeal.from_obj(json.loads(out.getvalue())["witness"]))
+    assert json.loads(out.getvalue())["table"] == table.to_obj()
 
 
 def test_chain_constructor_simple_segment():

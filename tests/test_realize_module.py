@@ -105,18 +105,17 @@ def test_validate_corner_matrix_checks_mode_bounds():
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m):
-    # the package re-exports shadow the submodule names, so fetch the modules
-    ideal_module = importlib.import_module("stablebetti.realize_ideal")
+    # the package re-exports shadow the submodule names, so fetch the module
     search_module = importlib.import_module("stablebetti.realize_module")
-    original_stratum = ideal_module.stratum
+    original_windows = search_module._windows
     original_walk = search_module._coupled_walk
-    window_strata = []
+    window_sets = []
     attempts = []  # pattern length of every column attempt
     walks = []
 
-    def counting_stratum(n, k, d, bounded=False):
-        window_strata.append((k, d))
-        return original_stratum(n, k, d, bounded)
+    def counting_windows(sub):
+        window_sets.append(sub.r)
+        return original_windows(sub)
 
     def counting_walk(sub, windows, entries):
         if not entries:  # the first node of a column attempt
@@ -124,7 +123,7 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
         walks.append(len(entries))
         return original_walk(sub, windows, entries)
 
-    monkeypatch.setattr(ideal_module, "stratum", counting_stratum)
+    monkeypatch.setattr(search_module, "_windows", counting_windows)
     monkeypatch.setattr(search_module, "_coupled_walk", counting_walk)
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
     if m == 2:
@@ -132,7 +131,7 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
             find_corner_matrix(s, m)
     else:
         assert find_corner_matrix(s, m) == ((1, 2, 0), (3, 3, 2), (1, 0, 3))
-    assert len(window_strata) == sum(attempts)  # one window set per attempt
+    assert window_sets == attempts  # one window set per attempt
     assert len(walks) > len(attempts)  # later nodes reuse the attempt's set
 
 

@@ -1,23 +1,28 @@
+import itertools
 import math
 import random
 
 import pytest
+from window_reference import shadow, stratum_list
 
 from stablebetti import (
     BadDegree,
     BadRange,
-    LexSegment,
-    MixedDegrees,
-    RankOutOfRange,
-    lex_shadow,
+    lex_count,
+    lex_unrank,
     parse_monomial,
-    set_difference,
-    set_difference_ranked,
-    shadow,
     stratum,
     stratum_size,
 )
 from stablebetti.monomials import iter_degree, lex_compare, max_index
+from stablebetti.segments import stratum_member, stratum_rank
+
+
+def _interval(n, top, bottom):
+    """The lex segment from top down to bottom, by rank."""
+    d = sum(top)
+    ranks = range(lex_count(top, n), lex_count(bottom, n) + 1)
+    return [lex_unrank(n, n, d, j) for j in ranks]
 
 
 def test_stratum_membership_and_size():
@@ -25,13 +30,18 @@ def test_stratum_membership_and_size():
         exact = stratum(n, k, d)
         assert len(exact) == stratum_size(k, d) == math.comb(k + d - 1, d - 1)
         assert all(max_index(u) == k + 1 for u in exact)
-        bounded = stratum(n, k, d, bounded=True)
+        bounded = stratum_list(n, k, d, bounded=True)
         assert all(max_index(u) <= k + 1 for u in bounded)
         assert set(exact) <= set(bounded)
         assert len(bounded) == math.comb(k + d, d)  # all monomials in x1..x_{k+1}
         for seq in (exact, bounded):
             for u, v in zip(seq, seq[1:]):
                 assert lex_compare(u, v) == 1
+        # members and ranks by arithmetic, against the listing
+        assert exact == stratum_list(n, k, d)
+        for j, u in enumerate(exact, start=1):
+            assert stratum_member(n, k, d, j) == u
+            assert stratum_rank(u, k) == j
 
 
 def test_stratum_argument_validation():
@@ -43,7 +53,24 @@ def test_stratum_argument_validation():
         stratum(3, 1, 0)
 
 
+def test_lex_count_and_unrank_match_listing_exhaustively():
+    # every m <= n <= 5 and d <= 5; v ranges over all degree-d monomials in
+    # n variables, so its support may reach past x_m
+    for n in range(1, 6):
+        for d in range(6):
+            everything = list(iter_degree(n, d))
+            for m in range(1, n + 1):
+                pad = (0,) * (n - m)
+                listed = [w + pad for w in iter_degree(m, d)]
+                for j, u in enumerate(listed, start=1):
+                    assert lex_unrank(n, m, d, j) == u
+                for v in everything:
+                    assert lex_count(v, m) == sum(u >= v for u in listed)
+
+
 def test_shadow_matches_direct_products():
+    # the shadow of the initial segment down to u, taken to degree d +
+    # steps, is everything >= u * x_n^steps: its count is one lex rank
     n = 3
     base = [parse_monomial("x1*x2", n), parse_monomial("x2^2", n)]
     once = shadow(n, base)
@@ -57,39 +84,36 @@ def test_shadow_matches_direct_products():
     assert once == sorted(once, reverse=True)
     assert shadow(n, base, steps=2) == shadow(n, once)
     assert shadow(n, base, steps=0) == sorted(set(base), reverse=True)
-    with pytest.raises(MixedDegrees):
-        shadow(n, [parse_monomial("x1", n), parse_monomial("x1^2", n)])
-    with pytest.raises(BadRange):
-        shadow(n, base, steps=-1)
+    for d, steps in itertools.product(range(1, 4), range(4)):
+        segment = list(iter_degree(n, d))
+        for end, u in enumerate(segment, start=1):
+            grown = shadow(n, segment[:end], steps=steps)
+            floor = u[:-1] + (u[-1] + steps,)
+            assert len(grown) == lex_count(floor, n)
+            assert grown == _interval(n, grown[0], floor)
 
 
 def test_lex_segment_basics():
     n = 3
-    seg = LexSegment(n, parse_monomial("x1*x2", n), parse_monomial("x2*x3", n))
-    got = seg.materialize()
+    got = _interval(n, parse_monomial("x1*x2", n), parse_monomial("x2*x3", n))
     assert got == [
         parse_monomial("x1*x2", n),
         parse_monomial("x1*x3", n),
         parse_monomial("x2^2", n),
         parse_monomial("x2*x3", n),
     ]
-    assert all(seg.contains(u) for u in got)
-    assert not seg.contains(parse_monomial("x1^2", n))
-    assert not seg.contains(parse_monomial("x3^2", n))
-    assert not seg.contains(parse_monomial("x1^2*x2", n))  # wrong degree
-    empty = LexSegment.empty(n)
-    assert empty.is_empty and empty.materialize() == []
-    with pytest.raises(BadRange):
-        LexSegment(n, None, parse_monomial("x1", n))
-    with pytest.raises(MixedDegrees):
-        LexSegment(n, parse_monomial("x1^2", n), parse_monomial("x2", n))
-    with pytest.raises(BadRange):
-        LexSegment(n, parse_monomial("x2^2", n), parse_monomial("x1^2", n))
+    assert lex_count(parse_monomial("x1^2", n), n) == 1
+    assert lex_count(parse_monomial("x3^2", n), n) == math.comb(4, 2)
+    assert _interval(n, parse_monomial("x2^2", n), parse_monomial("x2^2", n)) == [
+        parse_monomial("x2^2", n)
+    ]
+    assert _interval(n, parse_monomial("x2^2", n), parse_monomial("x1^2", n)) == []
 
 
 def test_lex_shadow_equals_iterated_shadow_on_lex_segments():
-    # The shadow of a lex segment is again a lex segment; lex_shadow gives
-    # its endpoints without enumeration. Cross-check against brute force.
+    # The shadow of a lex segment is again a lex segment; when the segment
+    # starts at x1^d, its rank interval is 1..lex_count(bottom * xn^steps).
+    # Cross-check against brute force.
     rng = random.Random(11)
     for _ in range(50):
         n = rng.randint(2, 4)
@@ -97,37 +121,43 @@ def test_lex_shadow_equals_iterated_shadow_on_lex_segments():
         monos = list(iter_degree(n, d))
         top_i = rng.randrange(len(monos))
         bot_i = rng.randrange(top_i, len(monos))
-        seg = LexSegment(n, monos[top_i], monos[bot_i])
         steps = rng.randint(0, 3)
-        if top_i == 0:  # lex_shadow assumes the segment starts at x1^d
-            brute = set(shadow(n, seg.materialize(), steps=steps))
-            fast = lex_shadow(n, seg.materialize(), d + steps)
-            assert set(fast.materialize()) == brute
+        if top_i == 0:
+            brute = shadow(n, monos[: bot_i + 1], steps=steps)
+            floor = monos[bot_i][:-1] + (monos[bot_i][-1] + steps,)
+            ranks = range(1, lex_count(floor, n) + 1)
+            assert [lex_unrank(n, n, d + steps, j) for j in ranks] == brute
 
 
 def test_lex_shadow_validation_and_empty():
     n = 3
-    assert lex_shadow(n, [], 5).is_empty
-    seg = lex_shadow(n, [parse_monomial("x2^2", n)], 4)
-    assert seg.top == parse_monomial("x1^4", n)
-    assert seg.bottom == parse_monomial("x2^2*x3^2", n)
-    with pytest.raises(BadDegree):
-        lex_shadow(n, [parse_monomial("x1^3", n)], 2)
-    with pytest.raises(MixedDegrees):
-        lex_shadow(n, [parse_monomial("x1", n), parse_monomial("x1^2", n)], 4)
+    # the lex shadow of x2^2 in degree 4 runs from x1^4 down to x2^2*x3^2
+    floor = parse_monomial("x2^2*x3^2", n)
+    assert _interval(n, parse_monomial("x1^4", n), floor)[-1] == floor
+    assert lex_count(floor, n) == sum(
+        1 for u in iter_degree(n, 4) if u >= floor
+    )
+    total = math.comb(4 + n - 1, n - 1)
+    assert lex_unrank(n, n, 4, total) == parse_monomial("x3^4", n)
+    for j in (0, total + 1):
+        with pytest.raises(BadRange):
+            lex_unrank(n, n, 4, j)
+    assert lex_unrank(n, 2, 0, 1) == (0, 0, 0)
 
 
 def test_set_difference_and_ranked():
+    # A minus a lex segment, and its ranked elements, by arithmetic: the
+    # members below the floor are those past its stratum rank
     n = 4
     aset = stratum(n, 2, 2)  # x3 * {x1, x2, x3}
-    seg = LexSegment(n, parse_monomial("x1^2", n), parse_monomial("x1*x3", n))
-    diff = set_difference(aset, seg)
-    assert diff == [parse_monomial("x2*x3", n), parse_monomial("x3^2", n)]
-    assert set_difference_ranked(aset, seg, 1) == parse_monomial("x2*x3", n)
-    assert set_difference_ranked(aset, seg, 2) == parse_monomial("x3^2", n)
-    with pytest.raises(RankOutOfRange) as err:
-        set_difference_ranked(aset, seg, 3)
-    assert err.value.rank == 3
-    assert err.value.size == 2
-    with pytest.raises(RankOutOfRange):
-        set_difference_ranked(aset, seg, 0)
+    floor = parse_monomial("x1*x3", n)
+    shaded = stratum_rank(floor, 2)
+    assert shaded == 1
+    assert len(aset) - shaded == 2
+    assert stratum_member(n, 2, 2, shaded + 1) == parse_monomial("x2*x3", n)
+    assert stratum_member(n, 2, 2, shaded + 2) == parse_monomial("x3^2", n)
+    with pytest.raises(BadRange):
+        stratum_member(n, 2, 2, shaded + 3)
+    # a floor outside the stratum (x4 divides it) still ranks correctly
+    outside = parse_monomial("x2*x4", n)
+    assert stratum_rank(outside, 2) == sum(1 for u in aset if u >= outside) == 2
