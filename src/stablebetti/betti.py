@@ -184,14 +184,20 @@ class CornerMatrixView:
     values: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
     corner_components: tuple[int, ...]  # 1-based component indices
+    table: BettiTable  # the module's table, the shifted sum of the columns'
 
 
 def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
-    table = ek_betti(module)
+    _require_stable(module)  # names a failing component by its module index
+    component_tables = [ek_betti(c) for c in module.components]
+    entries: dict[tuple[int, int], int] = {}
+    for component_table, f in zip(component_tables, module.shifts):
+        for (i, j), b in component_table.entries.items():
+            entries[(i, j + f)] = entries.get((i, j + f), 0) + b
+    table = BettiTable(module.n, entries)
     seq = corner_sequence(table)
     corners = tuple(c for c, _v in seq)
     values = tuple(v for _c, v in seq)
-    component_tables = [ek_betti(c) for c in module.components]
     rows = []
     for corner in corners:
         row = []
@@ -203,7 +209,7 @@ def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
         for h in range(module.m)
         if any(row[h] for row in rows)
     )
-    return CornerMatrixView(corners, values, tuple(rows), nonzero_cols)
+    return CornerMatrixView(corners, values, tuple(rows), nonzero_cols, table)
 
 
 def module_corner_report(module: MonomialSubmodule) -> dict:
@@ -213,10 +219,9 @@ def module_corner_report(module: MonomialSubmodule) -> dict:
     corner components, and per component its own corners plus the subset
     it shares with the module.
     """
-    table = ek_betti(module)
-    extremals = extremal_from_table(table)
-    seq = [(c, v) for c, v in extremals if c.k >= 1]
     view = corner_matrix(module)
+    extremals = extremal_from_table(view.table)
+    seq = [(c, v) for c, v in extremals if c.k >= 1]
     module_corner_set = {c for c, _v in seq}
     components = []
     for h, (ideal, f) in enumerate(zip(module.components, module.shifts)):

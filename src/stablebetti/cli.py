@@ -175,7 +175,7 @@ def _cmd_check_stable(args, stdout, stdin) -> int:
             g, i, j, moved = hit
             violation = {
                 "component": h + 1,
-                "generator": format_monomial(g),
+                "generator": format_monomial(g) if g is not None else None,
                 "variable": i,
                 "target": j,
                 "moved": format_monomial(moved) if moved else None,

@@ -7,6 +7,14 @@ class StableBettiError(Exception):
     """Base class for all package errors."""
 
 
+def json_int(value, what: str, error: type[StableBettiError]) -> int:
+    """value itself if it is an integer; a bool, float or string raises
+    error instead of being coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 class MonomialSyntaxError(StableBettiError):
     """Monomial text does not match the strict grammar."""
 

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import BadDegree, BadRange, EmptyIdeal, MonomialSyntaxError
+from .errors import BadRange, EmptyIdeal, MonomialSyntaxError, json_int
 from .monomials import (
     Monomial,
+    Packing,
     borel_moves,
     degree,
-    divides,
     format_monomial,
-    iter_degree,
     max_index,
+    packing,
     parse_monomial,
-    unit,
 )
 
 
@@ -31,13 +31,38 @@ def canonical_key(u: Monomial) -> tuple:
     return (degree(u), tuple(-e for e in u))
 
 
+def _check_exponents(n: int, g: Monomial) -> None:
+    if len(g) != n:
+        raise BadRange(f"generator {g} has {len(g)} exponents, expected {n}")
+    if any(e < 0 for e in g):
+        raise BadRange(f"negative exponent in {g}")
+
+
 def minimalize(n: int, monos) -> tuple[Monomial, ...]:
-    """Drop every monomial that is a multiple of another one."""
+    """Drop every monomial that is a multiple of another one.
+
+    A proper divisor has lower degree and so comes first in canonical
+    order: each monomial is tested, packed (monomials.packing), only
+    against the kept ones of lower degree.
+    """
     items = sorted(set(monos), key=canonical_key)
-    kept: list[Monomial] = []
     for u in items:
-        if not any(divides(g, u) for g in kept):
+        _check_exponents(n, u)
+    if not items:
+        return ()
+    pk = packing(n, max(max(u, default=0) for u in items))
+    guards = pk.guards
+    kept: list[Monomial] = []
+    kept_packed: list[int] = []
+    lower, d = (), None
+    for u in items:
+        if degree(u) != d:
+            d, lower = degree(u), tuple(kept_packed)
+        q = pk.pack(u)
+        probe = q | guards
+        if not any((probe - g) & guards == guards for g in lower):
             kept.append(u)
+            kept_packed.append(q)
     return tuple(kept)
 
 
@@ -52,10 +77,7 @@ class MonomialIdeal:
         if self.n < 1:
             raise BadRange(f"need n >= 1, got {self.n}")
         for g in self.gens:
-            if len(g) != self.n:
-                raise BadRange(f"generator {g} has {len(g)} exponents, expected {self.n}")
-            if any(e < 0 for e in g):
-                raise BadRange(f"negative exponent in {g}")
+            _check_exponents(self.n, g)
 
     @classmethod
     def from_generators(cls, n: int, monos) -> "MonomialIdeal":
@@ -69,10 +91,25 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
+    @cached_property
+    def _packed(self) -> tuple[Packing, int, tuple[int, ...]]:
+        """The generators' packing, its largest exponent, and the packed
+        generators (computed once: the dataclass is frozen)."""
+        top = max(map(max, self.gens), default=0)
+        pk = packing(self.n, top)
+        return pk, top, tuple(map(pk.pack, self.gens))
+
     def contains(self, u: Monomial) -> bool:
         if len(u) != self.n:
             raise BadRange("monomial lives in a different ring")
-        return any(divides(g, u) for g in self.gens)
+        if min(u) < 0:
+            return False
+        pk, top, packed = self._packed
+        guards = pk.guards
+        # clamping to the largest generator exponent keeps every field
+        # below its guard bit and does not change divisibility
+        q = pk.pack([e if e < top else top for e in u]) | guards
+        return any((q - g) & guards == guards for g in packed)
 
     def initial_degree(self) -> int:
         if self.is_zero:
@@ -87,44 +124,71 @@ class MonomialIdeal:
     def gens_of_degree(self, d: int) -> tuple[Monomial, ...]:
         return tuple(g for g in self.gens if degree(g) == d)
 
-    def graded_slice(self, d: int) -> list[Monomial]:
-        """All degree-d monomials of the ideal, lex-descending."""
-        if d < 0:
-            raise BadDegree(f"need d >= 0, got {d}")
-        return [u for u in iter_degree(self.n, d) if self.contains(u)]
-
     def _stability_violation(self, strong: bool):
-        """First failing exchange, or None. Unit/zero ideals always fail."""
+        """First failing exchange, or None. Unit/zero ideals always fail.
+
+        Generators are scanned in order, and for each the exchanges
+        (i, j) with i ascending, then j ascending: every i with x_i
+        dividing the generator when strong, only its largest one when not.
+        The exchanged monomial is tested packed, with x_j's exponent
+        clamped as in contains. It keeps the degree of its generator, so
+        a generator of that degree contains it only by being equal to it
+        (a set lookup), and only the lower-degree ones are scanned.
+        """
         if self.is_zero:
             return (None, 0, 0, None)
-        for g in self.gens:
-            if g == unit(self.n):
+        pk, top, packed = self._packed
+        guards = pk.guards
+        bits = [1 << s for s in pk.shifts]
+        members = set(packed)
+        degrees = [degree(g) for g in self.gens]
+        lower_by_degree = {
+            d: tuple(h for h, e in zip(packed, degrees) if e < d) for d in set(degrees)
+        }
+        for g, pg, d in zip(self.gens, packed, degrees):
+            if not pg:
                 return (g, 0, 0, None)
+            lower = lower_by_degree[d]
             i_range = [max_index(g)] if not strong else [
                 i for i in range(2, self.n + 1) if g[i - 1]
             ]
             for i in i_range:
-                if i == 0 or g[i - 1] == 0:
-                    continue
+                lowered = pg - bits[i - 1]
                 for j in range(1, i):
-                    moved = list(g)
-                    moved[i - 1] -= 1
-                    moved[j - 1] += 1
-                    if not self.contains(tuple(moved)):
+                    if g[j - 1] == top:
+                        q = lowered  # the clamped exchange equals no generator
+                    else:
+                        q = lowered + bits[j - 1]
+                        if q in members:
+                            continue
+                    q |= guards
+                    if not any((q - h) & guards == guards for h in lower):
+                        moved = list(g)
+                        moved[i - 1] -= 1
+                        moved[j - 1] += 1
                         return (g, i, j, tuple(moved))
         return None
 
+    # Each verdict is computed at most once per ideal object.
+    @cached_property
+    def _weak_violation(self):
+        return self._stability_violation(strong=False)
+
+    @cached_property
+    def _strong_violation(self):
+        return self._stability_violation(strong=True)
+
     def is_stable(self) -> bool:
         """Every generator's exchange at its largest variable stays inside."""
-        return self._stability_violation(strong=False) is None
+        return self._weak_violation is None
 
     def is_strongly_stable(self) -> bool:
         """Every generator's exchange at every variable stays inside."""
-        return self._stability_violation(strong=True) is None
+        return self._strong_violation is None
 
     def stability_violation(self, strong: bool):
         """(generator, i, j, moved) for the first failing exchange, else None."""
-        return self._stability_violation(strong)
+        return self._strong_violation if strong else self._weak_violation
 
     def to_obj(self) -> dict:
         return {"n": self.n, "generators": [format_monomial(g) for g in self.gens]}
@@ -137,7 +201,7 @@ class MonomialIdeal:
         if not isinstance(obj, dict) or "n" not in obj or "generators" not in obj:
             raise MonomialSyntaxError('ideal document needs keys "n" and "generators"')
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise MonomialSyntaxError(f'"n" must be a positive integer, got {n!r}')
         gens = obj["generators"]
         if not isinstance(gens, list) or not all(isinstance(t, str) for t in gens):
@@ -223,11 +287,18 @@ class MonomialSubmodule:
         if not isinstance(obj, dict) or "components" not in obj:
             raise MonomialSyntaxError('module document needs a "components" key')
         n = obj.get("n")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise MonomialSyntaxError(f'"n" must be a positive integer, got {n!r}')
+        if not isinstance(obj["components"], list):
+            raise MonomialSyntaxError('"components" must be a list of ideal documents')
         comps = tuple(MonomialIdeal.from_obj(c) for c in obj["components"])
-        shifts = tuple(obj.get("shifts") or (0,) * len(comps))
-        if "m" in obj and obj["m"] != len(comps):
+        shifts = obj.get("shifts")
+        if shifts is None:
+            shifts = []
+        if not isinstance(shifts, list):
+            raise MonomialSyntaxError('"shifts" must be a list of integers')
+        shifts = tuple(json_int(f, "a shift", MonomialSyntaxError) for f in shifts)
+        if "m" in obj and json_int(obj["m"], '"m"', MonomialSyntaxError) != len(comps):
             raise MonomialSyntaxError('"m" disagrees with the number of components')
         return cls(n, comps, shifts)
 

@@ -10,7 +10,8 @@ is deliberately undefined; use :func:`lex_compare`, which rejects it.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from operator import lshift
+from typing import Iterator, NamedTuple
 
 from .errors import (
     BadDegree,
@@ -55,8 +56,30 @@ def mul_var(u: Monomial, i: int, power: int = 1) -> Monomial:
     return u[: i - 1] + (u[i - 1] + power,) + u[i:]
 
 
-def divides(u: Monomial, v: Monomial) -> bool:
-    return all(a <= b for a, b in zip(u, v, strict=True))
+class Packing(NamedTuple):
+    """Monomials with exponents at most some bound, packed into integers.
+
+    Each variable gets a field of ``width`` bits whose top (guard) bit a
+    packed monomial leaves clear, so a field-wise comparison of all
+    variables is one subtraction: every guard bit of
+    ``(pack(u) | guards) - pack(g)`` survives exactly when g divides u.
+    """
+
+    width: int
+    shifts: range
+    lows: int  # the lowest bit of every field
+    guards: int  # the top bit of every field
+
+    def pack(self, u) -> int:
+        return sum(map(lshift, u, self.shifts))
+
+
+def packing(n: int, top: int) -> Packing:
+    """The packing of n-variable monomials with exponents at most top."""
+    width = top.bit_length() + 1
+    shifts = range(0, width * n, width)
+    lows = sum(1 << s for s in shifts)
+    return Packing(width, shifts, lows, lows << (width - 1))
 
 
 def lex_compare(u: Monomial, v: Monomial) -> int:

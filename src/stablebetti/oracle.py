@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import lshift
 
 from .betti import BettiTable, corner_sequence, ek_betti
 from .errors import BadRange, BudgetExceeded, CapTooLow
@@ -32,6 +31,7 @@ from .monomials import (
     iter_degree,
     max_index,
     mul_var,
+    packing,
 )
 from .segments import stratum, stratum_size
 
@@ -167,21 +167,18 @@ def _point_masks(ideal: MonomialIdeal):
     a, so one pass over the generators replaces a membership test per
     subset; no stability is assumed.
 
-    Monomials are packed into integers, one field of w bits per variable
-    with its top (guard) bit clear, so a field-wise comparison of all
-    variables is one subtraction: the guard bit of a field survives
-    (a | guards) - g exactly when a_t >= g_t.
+    Monomials are packed into integers (monomials.packing), so a
+    field-wise comparison of all variables is one subtraction: the guard
+    bit of a field survives (a | guards) - g exactly when a_t >= g_t.
     """
-    w = max(map(max, ideal.gens)).bit_length() + 1
-    shifts = range(0, w * ideal.n, w)
-    lows = sum(1 << s for s in shifts)
-    guards = lows << (w - 1)
-    packed = [sum(map(lshift, g, shifts)) for g in ideal.gens]
+    pk = packing(ideal.n, max(map(max, ideal.gens)))
+    lows, guards = pk.lows, pk.guards
+    packed = [pk.pack(g) for g in ideal.gens]
     for a in lcm_multidegrees(ideal):
-        top = sum(map(lshift, a, shifts)) | guards
+        top = pk.pack(a) | guards
         supp_guards = (top - lows) & guards
         p = supp_guards.bit_count()
-        below = top - (supp_guards >> (w - 1))  # g_t < a_t iff g_t <= below_t
+        below = top - (supp_guards >> (pk.width - 1))  # g_t < a_t iff g_t <= below_t
         frees = {
             (below - g) & supp_guards for g in packed if (top - g) & guards == guards
         }

@@ -32,6 +32,7 @@ from .errors import (
     SpecError,
     UncoveredByCharacterization,
     VerificationFailed,
+    json_int,
 )
 from .ideals import MonomialIdeal
 from .monomials import Monomial, degree, format_monomial, mul_var, unit, variable
@@ -113,12 +114,16 @@ class CornerSpec:
     def from_obj(cls, obj: dict) -> "CornerSpec":
         if not isinstance(obj, dict) or "n" not in obj or "corners" not in obj:
             raise SpecError('spec document needs keys "n" and "corners"')
+
+        def entry(e, key: str) -> int:
+            return json_int(e[key], f'corner "{key}"', SpecError)
+
         try:
-            corners = tuple(Corner(int(e["k"]), int(e["l"])) for e in obj["corners"])
-            values = tuple(int(e["a"]) for e in obj["corners"])
-        except (KeyError, TypeError, ValueError) as exc:
+            corners = tuple(Corner(entry(e, "k"), entry(e, "l")) for e in obj["corners"])
+            values = tuple(entry(e, "a") for e in obj["corners"])
+        except (KeyError, TypeError) as exc:
             raise SpecError(f"malformed corner entry: {exc}") from exc
-        return cls(int(obj["n"]), corners, values)
+        return cls(json_int(obj["n"], '"n"', SpecError), corners, values)
 
     @classmethod
     def from_json(cls, text: str) -> "CornerSpec":

@@ -25,6 +25,7 @@ from .errors import (
     SpecError,
     UncoveredByCharacterization,
     VerificationFailed,
+    json_int,
 )
 from .ideals import MonomialIdeal, MonomialSubmodule
 from .monomials import mul_var, unit
@@ -58,7 +59,7 @@ def validate_module_spec(spec: CornerSpec, m: int) -> PositionVerdict:
     positions themselves are unconstrained and only the per-corner value
     range 1 <= a_i <= m * C(k_i + l_i - 1, l_i - 1) is checked.
     """
-    if m < 1:
+    if json_int(m, "m", SpecError) < 1:
         raise SpecError(f"need m >= 1, got {m}")
     if m == 1:
         return validate_positions(spec)
@@ -320,22 +321,21 @@ def construct_module(
         components.append(realization.ideal)
         columns.append(realization)
     module = MonomialSubmodule(spec.n, tuple(components))
-    table = ek_betti(module)
-    got = corner_sequence(table)
+    view = corner_matrix(module)
+    got = list(zip(view.corners, view.values))
     want = list(zip(spec.corners, spec.values))
     if got != want:
         raise VerificationFailed(
             f"assembled module has corner sequence {_corner_text(got)}, "
             f"wanted {_corner_text(want)}"
         )
-    view = corner_matrix(module)
-    if view.corners != spec.corners or view.rows != tuple(
-        tuple(row) for row in matrix
-    ):
+    if view.rows != tuple(tuple(row) for row in matrix):
         raise VerificationFailed(
             "assembled module does not reproduce the requested corner matrix"
         )
-    return ModuleRealization(spec, mode, tuple(matrix), module, tuple(columns), table)
+    return ModuleRealization(
+        spec, mode, tuple(matrix), module, tuple(columns), view.table
+    )
 
 
 def realize_module(
@@ -374,10 +374,10 @@ def normalize_module(
     _check_mode(mode)
     if any(f != 0 for f in module.shifts):
         raise SpecError("normalization assumes unshifted components")
-    before = corner_sequence(ek_betti(module))
+    view = corner_matrix(module)
+    before = corner_sequence(view.table)
     if not before:
         return NormalizationResult(module, (), ())
-    view = corner_matrix(module)
     corners = view.corners
     components: list[MonomialIdeal] = []
     rebuilt: list[int] = []
@@ -399,12 +399,12 @@ def normalize_module(
         components.append(construct_ideal(sub, mode).ideal)
         rebuilt.append(h + 1)
     result = MonomialSubmodule(module.n, tuple(components))
-    after = corner_sequence(ek_betti(result))
+    view2 = corner_matrix(result)
+    after = corner_sequence(view2.table)
     if after != before:
         raise VerificationFailed(
             f"normalization moved the corner sequence: {_corner_text(after)}"
         )
-    view2 = corner_matrix(result)
     for h, ideal in enumerate(result.components):
         rows = tuple(i for i in range(len(view2.corners)) if view2.rows[i][h])
         if not rows:

@@ -12,6 +12,8 @@ dense matrices, straight from the definition.
 import itertools
 from dataclasses import dataclass
 
+from ideal_reference import graded_slice
+
 from stablebetti.ideals import MonomialIdeal, MonomialSubmodule
 from stablebetti.monomials import Monomial, mul_var
 from stablebetti.oracle import integer_rank
@@ -62,7 +64,7 @@ class GradedComplexSlice:
                     d = j - i - f
                     if d < 0:
                         continue
-                    for u in ideal.graded_slice(d):
+                    for u in graded_slice(ideal, d):
                         level.append((sigma, h, u))
             bases.append(tuple(level))
         mats: list[tuple[tuple[int, ...], ...]] = [()]

@@ -112,6 +112,22 @@ def test_corner_matrix_on_shifted_module():
     assert view.corner_components == (2,)
 
 
+def test_corner_matrix_table_is_the_shifted_sum_of_the_columns(bundle3, bundle4):
+    ideal = MonomialIdeal.from_strings(3, ["x1^2", "x1*x2", "x1*x3"])
+    shifted = MonomialSubmodule(3, (ideal, ideal), (0, 1))
+    for module in (bundle3, bundle4, shifted):
+        view = corner_matrix(module)
+        assert view.table == ek_betti(module)
+        assert list(zip(view.corners, view.values)) == corner_sequence(view.table)
+    # a non-stable component is named by its index in the module
+    unstable = MonomialSubmodule(
+        3, (ideal, MonomialIdeal.from_strings(3, ["x2^2"])), (0, 0)
+    )
+    with pytest.raises(NotStable) as info:
+        corner_matrix(unstable)
+    assert info.value.component == 2
+
+
 def test_module_corner_report_shapes(bundle4):
     report = module_corner_report(bundle4)
     assert json.dumps(report, sort_keys=True)  # JSON-ready

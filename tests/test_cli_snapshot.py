@@ -4,8 +4,10 @@ c10 checks that repeated runs agree with each other; this file pins the
 bytes themselves. For every case it holds the exit code, the sha256 of
 stdout and the verbatim stderr (a JSON error object, or empty), recorded
 from the code before the corner windows were shared between bounds,
-verdicts, chain and search. Any change to what a subcommand prints shows
-up here as a digest mismatch.
+verdicts, chain and search; the last seven cases (a zero component for
+check-stable, six mistyped JSON fields) were added when those inputs
+stopped crashing or being coerced. Any change to what a subcommand
+prints shows up here as a digest mismatch.
 """
 
 import hashlib
@@ -99,6 +101,26 @@ BAD_INPUTS = {
         MODULE_SPEC_DOCS["single_corner_m2"],
     ),
     "census_guard": (["census", "-n", "6", "-d", "7"], ""),
+    "float_shift": (
+        ["betti"],
+        json.dumps(
+            {"n": 2, "shifts": [0.5], "components": [{"n": 2, "generators": ["x1"]}]}
+        ),
+    ),
+    "components_not_a_list": (["betti"], json.dumps({"n": 2, "components": 5})),
+    "string_m": (
+        ["realize-module"],
+        json.dumps({"n": 4, "m": "2", "corners": [{"k": 2, "l": 2, "a": 6}]}),
+    ),
+    "bool_n": (["betti"], json.dumps({"n": True, "generators": ["x1"]})),
+    "float_value": (
+        ["realize-ideal"],
+        json.dumps({"n": 6, "corners": [{"k": 3, "l": 3, "a": 1.9}]}),
+    ),
+    "bool_value": (
+        ["realize-ideal"],
+        json.dumps({"n": 6, "corners": [{"k": 3, "l": 3, "a": True}]}),
+    ),
 }
 
 
@@ -122,6 +144,10 @@ def _cases():
         cases[f"realize-module m3 {name}"] = (["realize-module", "--m", "3"], doc)
     cases["census n2 d2"] = (["census", "-n", "2", "-d", "2"], "")
     cases["census n3 d3"] = (["census", "-n", "3", "-d", "3"], "")
+    cases["check-stable zero_component"] = (
+        ["check-stable"],
+        json.dumps({"n": 2, "generators": []}),
+    )
     for name, case in BAD_INPUTS.items():
         cases[f"bad {name}"] = case
     return cases
@@ -366,6 +392,43 @@ EXPECTED = {
     'realize-module three_corners_m2': (
         0,
         '92c8f4fb827b565881386980ba6e8b4d48aafb4b261de8c42ede94ace06e98e5',
+        '',
+    ),
+    # recorded from the code that stopped these inputs from crashing or
+    # being coerced (the old code printed a traceback or took them)
+    'bad bool_n': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "MonomialSyntaxError", "message": "\\"n\\" must be a positive integer, got True"}\n',
+    ),
+    'bad bool_value': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "SpecError", "message": "corner \\"a\\" must be an integer, got True"}\n',
+    ),
+    'bad components_not_a_list': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "MonomialSyntaxError", "message": "\\"components\\" must be a list of ideal documents"}\n',
+    ),
+    'bad float_shift': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "MonomialSyntaxError", "message": "a shift must be an integer, got 0.5"}\n',
+    ),
+    'bad float_value': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "SpecError", "message": "corner \\"a\\" must be an integer, got 1.9"}\n',
+    ),
+    'bad string_m': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "SpecError", "message": "m must be an integer, got \'2\'"}\n',
+    ),
+    'check-stable zero_component': (
+        0,
+        '928f4c8555417e18b30bc04a1d4e6c46c412915e697a35a7c76b04c8e786cb52',
         '',
     ),
 }

@@ -1,6 +1,9 @@
 import json
 
+import ideal_reference as reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablebetti import (
     BadRange,
@@ -48,8 +51,8 @@ def test_contains_and_degrees():
     assert ideal.initial_degree() == 2
     assert ideal.max_gen_degree() == 3
     assert ideal.gens_of_degree(3) == (parse_monomial("x2^3", 3),)
-    assert ideal.graded_slice(2) == [parse_monomial("x1^2", 3)]
-    assert len(ideal.graded_slice(3)) == 3 + 1  # x1^2 * {x1,x2,x3}, x2^3
+    assert reference.graded_slice(ideal, 2) == [parse_monomial("x1^2", 3)]
+    assert len(reference.graded_slice(ideal, 3)) == 3 + 1  # x1^2 * {x1,x2,x3}, x2^3
 
 
 def test_stability_predicates():
@@ -150,3 +153,68 @@ def test_parse_module_or_ideal_accepts_both_shapes():
         '{"n": 2, "components": [{"n": 2, "generators": ["x1"]}]}'
     )
     assert as_module == as_ideal
+
+
+def _monomials(n, max_degree):
+    """Monomials of degree <= max_degree in n variables, the unit included."""
+    return st.lists(st.integers(0, n - 1), max_size=max_degree).map(
+        lambda picks: tuple(picks.count(t) for t in range(n))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_membership_matches_the_tuple_scan(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    gens = data.draw(st.lists(_monomials(n, 6), max_size=10), label="gens")
+    assert minimalize(n, gens) == reference.minimalize(n, gens)
+    ideals = [
+        MonomialIdeal.from_generators(n, gens),
+        MonomialIdeal(n, tuple(gens)),  # unsorted, non-minimal, repeats kept
+        MonomialIdeal(n, ()),
+        MonomialIdeal(n, ((0,) * n,)),
+    ]
+    if gens:
+        # strongly stable, and one generator short of it: the scans run
+        # through every exchange, or fail late
+        closed = borel_closure(n, gens[:2])
+        ideals += [closed, MonomialIdeal(n, closed.gens[:-1])]
+    # exponents up to 9 lie above every generator exponent (at most 6)
+    queries = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 9)] * n), max_size=20), label="queries"
+    )
+    for ideal in ideals:
+        for u in queries + list(gens):
+            assert ideal.contains(u) == reference.contains(ideal, u), (ideal, u)
+        for strong in (False, True):
+            assert ideal.stability_violation(strong) == reference.stability_violation(
+                ideal, strong
+            ), (ideal, strong)
+
+
+def test_contains_clamps_exponents_above_every_generator():
+    # exponents up to 2 take two bits and a guard bit per field; the
+    # query exponents 4 and 1000 would spill out of a field unclamped
+    ideal = MonomialIdeal.from_strings(3, ["x1^2", "x2*x3"])
+    assert ideal.contains((4, 0, 0))
+    assert ideal.contains((0, 1000, 1))
+    assert not ideal.contains((1, 1000, 0))
+    assert not ideal.contains((1, 0, 1000))
+    assert not ideal.contains((-1, 1, 1))
+
+
+def test_each_stability_verdict_is_computed_once(monkeypatch):
+    calls = []
+    original = MonomialIdeal._stability_violation
+
+    def counted(self, strong):
+        calls.append(strong)
+        return original(self, strong)
+
+    monkeypatch.setattr(MonomialIdeal, "_stability_violation", counted)
+    ideal = MonomialIdeal.from_strings(3, ["x1^2", "x1*x2", "x2^2", "x2*x3"])
+    for _ in range(3):
+        assert ideal.is_stable() and not ideal.is_strongly_stable()
+        assert ideal.stability_violation(strong=False) is None
+        assert ideal.stability_violation(strong=True)[1:3] == (2, 1)
+    assert sorted(calls) == [False, True]

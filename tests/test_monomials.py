@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from ideal_reference import divides
 
 from stablebetti import (
     BadRange,
@@ -17,7 +18,6 @@ from stablebetti import (
 )
 from stablebetti.monomials import (
     borel_moves,
-    divides,
     iter_degree,
     mul_var,
     unit,

@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -196,3 +197,24 @@ def test_normalize_module_requires_unshifted_components():
     module = MonomialSubmodule(3, (ideal, ideal), (0, 1))
     with pytest.raises(SpecError):
         normalize_module(module)
+
+
+def test_realize_module_scans_each_component_once_per_verdict(monkeypatch):
+    # one weak and one strong scan per component: the strong one in the
+    # column's self-verification, the weak one for its Betti table, which
+    # the module table is then summed from
+    calls = Counter()
+    original = MonomialIdeal._stability_violation
+
+    def counted(self, strong):
+        calls[id(self), strong] += 1
+        return original(self, strong)
+
+    monkeypatch.setattr(MonomialIdeal, "_stability_violation", counted)
+    realization = realize_module(spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4]), 3)
+    assert realization.matrix == ((1, 2, 0), (3, 3, 2), (1, 0, 3))
+    components = realization.module.components
+    assert calls == Counter(
+        {(id(c), strong): 1 for c in components for strong in (False, True)}
+    )
+    assert realization.table == ek_betti(realization.module)
