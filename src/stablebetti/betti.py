@@ -14,12 +14,11 @@ extremal entries (free-module tails) are reported separately.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import MonomialSyntaxError, NotStable
+from .errors import NotStable
 from .ideals import MonomialIdeal, MonomialSubmodule
 from .monomials import format_monomial, max_index
 
@@ -39,9 +38,6 @@ class BettiTable:
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
-    def items_sorted(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self.entries.items())
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
@@ -50,25 +46,10 @@ class BettiTable:
         return {
             "n": self.n,
             "entries": [
-                {"i": i, "j": j, "beta": b} for (i, j), b in self.items_sorted()
+                {"i": i, "j": j, "beta": b}
+                for (i, j), b in sorted(self.entries.items())
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(", ", ": "))
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "BettiTable":
-        if not isinstance(obj, dict) or "entries" not in obj or "n" not in obj:
-            raise MonomialSyntaxError('table document needs keys "n" and "entries"')
-        entries = {}
-        for e in obj["entries"]:
-            entries[(e["i"], e["j"])] = e["beta"]
-        return cls(obj["n"], entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BettiTable":
-        return cls.from_obj(json.loads(text))
 
 
 def _require_stable(module: MonomialSubmodule) -> None:
@@ -135,81 +116,52 @@ def corner_sequence(table: BettiTable) -> list[tuple[Corner, int]]:
     return [(c, v) for c, v in extremal_from_table(table) if c.k >= 1]
 
 
-def extremal_from_generators(
-    module: MonomialSubmodule | MonomialIdeal,
-) -> list[tuple[Corner, int]]:
-    """Corners read off the generators of a stable module directly.
-
-    (k, l) is a corner iff k+1 equals the largest m(u) over the degree-l
-    generators and every generator of higher degree has m(u) <= k; its
-    value counts the degree-l generators with m(u) = k+1.
-    """
-    if isinstance(module, MonomialIdeal):
-        module = MonomialSubmodule.of_ideal(module)
-    _require_stable(module)
-    top_by_degree: dict[int, int] = {}
-    count_by_degree: dict[int, dict[int, int]] = {}
-    for _h, g, mod_deg in module.module_generators():
-        top = max_index(g)
-        top_by_degree[mod_deg] = max(top_by_degree.get(mod_deg, 0), top)
-        count_by_degree.setdefault(mod_deg, {})
-        count_by_degree[mod_deg][top] = count_by_degree[mod_deg].get(top, 0) + 1
-    corners = []
-    degrees = sorted(top_by_degree)
-    for ell in degrees:
-        peak = top_by_degree[ell]
-        if any(top_by_degree[d] >= peak for d in degrees if d > ell):
-            continue
-        corners.append((Corner(peak - 1, ell), count_by_degree[ell][peak]))
-    corners.sort(key=lambda cv: (-cv[0].k, cv[0].ell))
-    return corners
-
-
-def corners_from_generators(
-    module: MonomialSubmodule | MonomialIdeal,
-) -> list[tuple[Corner, int]]:
-    return [(c, v) for c, v in extremal_from_generators(module) if c.k >= 1]
-
-
 @dataclass(frozen=True)
 class CornerMatrixView:
     """Corner-by-component decomposition of a module's extremal values.
 
     Row i belongs to the module corner (k_i, l_i); column h holds
-    beta_{k_i, k_i + l_i - f_h} of component h. Components owning at least
-    one nonzero entry are the corner components.
+    beta_{k_i, k_i + l_i} of component h's table shifted by f_h. Components
+    owning at least one nonzero entry are the corner components.
     """
 
     corners: tuple[Corner, ...]
     values: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
     corner_components: tuple[int, ...]  # 1-based component indices
-    table: BettiTable  # the module's table, the shifted sum of the columns'
+    table: BettiTable  # the module's table, the sum of the component tables
+    component_tables: tuple[BettiTable, ...]  # each shifted by its f_h
 
 
 def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
+    """The corner matrix, building each component's table once."""
     _require_stable(module)  # names a failing component by its module index
-    component_tables = [ek_betti(c) for c in module.components]
+    component_tables = []
     entries: dict[tuple[int, int], int] = {}
-    for component_table, f in zip(component_tables, module.shifts):
-        for (i, j), b in component_table.entries.items():
-            entries[(i, j + f)] = entries.get((i, j + f), 0) + b
+    for ideal, f in zip(module.components, module.shifts):
+        table = ek_betti(ideal)
+        if f:
+            table = BettiTable(
+                module.n, {(i, j + f): b for (i, j), b in table.entries.items()}
+            )
+        component_tables.append(table)
+        for key, b in table.entries.items():
+            entries[key] = entries.get(key, 0) + b
     table = BettiTable(module.n, entries)
     seq = corner_sequence(table)
     corners = tuple(c for c, _v in seq)
     values = tuple(v for _c, v in seq)
-    rows = []
-    for corner in corners:
-        row = []
-        for h, f in enumerate(module.shifts):
-            row.append(component_tables[h].beta(corner.k, corner.k + corner.ell - f))
-        rows.append(tuple(row))
+    rows = tuple(
+        tuple(t.beta(c.k, c.k + c.ell) for t in component_tables) for c in corners
+    )
     nonzero_cols = tuple(
         h + 1
         for h in range(module.m)
         if any(row[h] for row in rows)
     )
-    return CornerMatrixView(corners, values, tuple(rows), nonzero_cols, table)
+    return CornerMatrixView(
+        corners, values, rows, nonzero_cols, table, tuple(component_tables)
+    )
 
 
 def module_corner_report(module: MonomialSubmodule) -> dict:
@@ -220,14 +172,10 @@ def module_corner_report(module: MonomialSubmodule) -> dict:
     it shares with the module.
     """
     view = corner_matrix(module)
-    extremals = extremal_from_table(view.table)
-    seq = [(c, v) for c, v in extremals if c.k >= 1]
-    module_corner_set = {c for c, _v in seq}
+    module_corner_set = set(view.corners)
     components = []
-    for h, (ideal, f) in enumerate(zip(module.components, module.shifts)):
-        own = corner_sequence(
-            ek_betti(MonomialSubmodule(module.n, (ideal,), (f,)))
-        )
+    for h, table in enumerate(view.component_tables):
+        own = corner_sequence(table)
         shared = [c for c, _v in own if c in module_corner_set]
         components.append(
             {
@@ -236,13 +184,14 @@ def module_corner_report(module: MonomialSubmodule) -> dict:
                 "module_corners": [{"k": c.k, "l": c.ell} for c in shared],
             }
         )
+    k0_extremals = [cv for cv in extremal_from_table(view.table) if cv[0].k == 0]
     return {
         "n": module.n,
         "m": module.m,
-        "corners": [{"k": c.k, "l": c.ell, "beta": v} for c, v in seq],
-        "k0_extremals": [
-            {"k": c.k, "l": c.ell, "beta": v} for c, v in extremals if c.k == 0
+        "corners": [
+            {"k": c.k, "l": c.ell, "beta": v} for c, v in zip(view.corners, view.values)
         ],
+        "k0_extremals": [{"k": c.k, "l": c.ell, "beta": v} for c, v in k0_extremals],
         "corner_matrix": [list(row) for row in view.rows],
         "corner_components": list(view.corner_components),
         "components": components,

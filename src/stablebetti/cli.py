@@ -253,6 +253,8 @@ def _exit_code(exc: BaseException) -> int:
         return 4
     if isinstance(exc, UncoveredByCharacterization):
         return 3
+    if isinstance(exc, InfeasibleSpec) and exc.exhausted_budget:
+        return 1
     if isinstance(exc, (NotStable, InfeasibleSpec)):
         return 2
     return 1

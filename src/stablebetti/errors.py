@@ -19,14 +19,6 @@ class MonomialSyntaxError(StableBettiError):
     """Monomial text does not match the strict grammar."""
 
 
-class DegreeMismatch(StableBettiError):
-    """Lexicographic comparison requested across different degrees."""
-
-
-class InvalidMove(StableBettiError):
-    """Borel exchange with j >= i, index out of range, or variable absent."""
-
-
 class BadRange(StableBettiError):
     """Numeric argument outside its documented range."""
 

@@ -111,19 +111,6 @@ class MonomialIdeal:
         q = pk.pack([e if e < top else top for e in u]) | guards
         return any((q - g) & guards == guards for g in packed)
 
-    def initial_degree(self) -> int:
-        if self.is_zero:
-            raise EmptyIdeal("the zero ideal has no initial degree")
-        return degree(self.gens[0])
-
-    def max_gen_degree(self) -> int:
-        if self.is_zero:
-            raise EmptyIdeal("the zero ideal has no generators")
-        return degree(self.gens[-1])
-
-    def gens_of_degree(self, d: int) -> tuple[Monomial, ...]:
-        return tuple(g for g in self.gens if degree(g) == d)
-
     def _stability_violation(self, strong: bool):
         """First failing exchange, or None. Unit/zero ideals always fail.
 
@@ -207,10 +194,6 @@ class MonomialIdeal:
         if not isinstance(gens, list) or not all(isinstance(t, str) for t in gens):
             raise MonomialSyntaxError('"generators" must be a list of strings')
         return cls.from_generators(n, (parse_monomial(t, n) for t in gens))
-
-    @classmethod
-    def from_json(cls, text: str) -> "MonomialIdeal":
-        return cls.from_obj(json.loads(text))
 
 
 def borel_closure(n: int, monos) -> MonomialIdeal:
@@ -301,10 +284,6 @@ class MonomialSubmodule:
         if "m" in obj and json_int(obj["m"], '"m"', MonomialSyntaxError) != len(comps):
             raise MonomialSyntaxError('"m" disagrees with the number of components')
         return cls(n, comps, shifts)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MonomialSubmodule":
-        return cls.from_obj(json.loads(text))
 
 
 def parse_module_or_ideal(text: str) -> MonomialSubmodule:

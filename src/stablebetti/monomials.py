@@ -3,8 +3,8 @@
 A monomial is a plain tuple of n non-negative integer exponents. Variables
 are 1-based and ordered x1 > x2 > ... > xn, so within a fixed degree the
 builtin tuple order coincides with the lexicographic order on monomials:
-``sorted(monos, reverse=True)`` is lex-descending. Cross-degree comparison
-is deliberately undefined; use :func:`lex_compare`, which rejects it.
+``sorted(monos, reverse=True)`` is lex-descending. Across degrees the
+tuple order means nothing, so the package only compares within a degree.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import re
 from operator import lshift
 from typing import Iterator, NamedTuple
 
-from .errors import (
-    BadDegree,
-    BadRange,
-    DegreeMismatch,
-    InvalidMove,
-    MonomialSyntaxError,
-)
+from .errors import BadDegree, BadRange, MonomialSyntaxError
 
 Monomial = tuple[int, ...]
 
@@ -82,44 +76,17 @@ def packing(n: int, top: int) -> Packing:
     return Packing(width, shifts, lows, lows << (width - 1))
 
 
-def lex_compare(u: Monomial, v: Monomial) -> int:
-    """Three-way lex comparison within one degree: +1, 0, or -1.
-
-    Raises DegreeMismatch for monomials of different degrees; the order is
-    only used degree by degree and silent cross-degree comparison would
-    hide bugs.
-    """
-    if len(u) != len(v):
-        raise DegreeMismatch("monomials live in different rings")
-    if degree(u) != degree(v):
-        raise DegreeMismatch(f"cannot lex-compare degrees {degree(u)} and {degree(v)}")
-    if u > v:
-        return 1
-    if u < v:
-        return -1
-    return 0
-
-
-def borel_move(u: Monomial, i: int, j: int) -> Monomial:
-    """The exchange u -> x_j * u / x_i with j < i and x_i dividing u."""
-    n = len(u)
-    if not (1 <= j < i <= n):
-        raise InvalidMove(f"need 1 <= j < i <= {n}, got j={j}, i={i}")
-    if u[i - 1] == 0:
-        raise InvalidMove(f"x{i} does not divide {format_monomial(u)}")
-    w = list(u)
-    w[i - 1] -= 1
-    w[j - 1] += 1
-    return tuple(w)
-
-
 def borel_moves(u: Monomial) -> list[Monomial]:
-    """All single exchanges of u, in no particular outer order."""
+    """All exchanges x_j * u / x_i with j < i and x_i dividing u, in no
+    particular outer order."""
     out = []
-    for i in range(2, len(u) + 1):
-        if u[i - 1]:
-            for j in range(1, i):
-                out.append(borel_move(u, i, j))
+    for i in range(1, len(u)):
+        if u[i]:
+            for j in range(i):
+                w = list(u)
+                w[i] -= 1
+                w[j] += 1
+                out.append(tuple(w))
     return out
 
 

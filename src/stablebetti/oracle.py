@@ -212,21 +212,23 @@ def koszul_betti(
 ) -> BettiTable:
     """Betti table from Koszul homology; exact, no stability assumption.
 
-    The result does not depend on degree_cap once the cap exceeds the
-    completeness threshold (max generator degree plus n covers it, and is
-    the default). A cap at or below the top nonzero internal degree is
-    refused with CapTooLow rather than silently truncating.
+    Every entry of a component sits at an lcm point of its generators, so
+    its internal degree is at most deg lcm(all generators) + f_h. The
+    default cap is one more than the largest such bound, so it never
+    refuses. Every cap above the top nonzero internal degree gives the same
+    table; a cap at or below it is refused with CapTooLow rather than
+    silently truncating.
     """
     if isinstance(module, MonomialIdeal):
         module = MonomialSubmodule.of_ideal(module)
     n = module.n
     if degree_cap is None:
         tops = [
-            ideal.max_gen_degree() + f
+            sum(map(max, zip(*ideal.gens))) + f
             for ideal, f in zip(module.components, module.shifts)
             if not ideal.is_zero
         ]
-        degree_cap = (max(tops) if tops else 0) + n
+        degree_cap = max(tops, default=0) + 1
     entries: dict[tuple[int, int], int] = {}
     for ideal, f in zip(module.components, module.shifts):
         if ideal.is_zero:

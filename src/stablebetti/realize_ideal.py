@@ -114,26 +114,20 @@ class CornerSpec:
     def from_obj(cls, obj: dict) -> "CornerSpec":
         if not isinstance(obj, dict) or "n" not in obj or "corners" not in obj:
             raise SpecError('spec document needs keys "n" and "corners"')
+        entries = obj["corners"]
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) for e in entries
+        ):
+            raise SpecError('"corners" must be a list of corner objects')
+        if not all("k" in e and "l" in e and "a" in e for e in entries):
+            raise SpecError('every corner needs keys "k", "l" and "a"')
 
         def entry(e, key: str) -> int:
             return json_int(e[key], f'corner "{key}"', SpecError)
 
-        try:
-            corners = tuple(Corner(entry(e, "k"), entry(e, "l")) for e in obj["corners"])
-            values = tuple(entry(e, "a") for e in obj["corners"])
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"malformed corner entry: {exc}") from exc
+        corners = tuple(Corner(entry(e, "k"), entry(e, "l")) for e in entries)
+        values = tuple(entry(e, "a") for e in entries)
         return cls(json_int(obj["n"], '"n"', SpecError), corners, values)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CornerSpec":
-        import json
-
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec is not valid JSON: {exc}") from exc
-        return cls.from_obj(obj)
 
 
 ADMISSIBLE = "admissible"
@@ -149,9 +143,6 @@ class PositionVerdict:
     @property
     def admissible(self) -> bool:
         return self.status == ADMISSIBLE
-
-    def to_obj(self) -> dict:
-        return {"status": self.status, "reason": self.reason}
 
 
 def validate_positions(spec: CornerSpec) -> PositionVerdict:

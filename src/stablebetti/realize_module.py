@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import BettiTable, corner_matrix, corner_sequence, ek_betti
+from .betti import BettiTable, CornerMatrixView, corner_matrix, corner_sequence
 from .errors import (
     InfeasibleSpec,
     SpecError,
@@ -74,12 +74,7 @@ def validate_module_spec(spec: CornerSpec, m: int) -> PositionVerdict:
     return PositionVerdict(ADMISSIBLE)
 
 
-def column_bounds(spec: CornerSpec, pattern) -> tuple[int, ...]:
-    """Strict per-row value caps for one column's row pattern (0-based rows)."""
-    return compute_bounds(spec.sub_spec(tuple(pattern))).bounds
-
-
-def _admissible_patterns(spec: CornerSpec, m: int):
+def _admissible_patterns(spec: CornerSpec):
     """Bitmask-ordered candidate patterns with their sub-specs."""
     r = spec.r
     out = []
@@ -126,7 +121,7 @@ def find_corner_matrix(
     if not verdict.admissible:
         raise InfeasibleSpec(verdict.reason)
     r = spec.r
-    patterns = _admissible_patterns(spec, m)
+    patterns = _admissible_patterns(spec)
     strict_caps = (
         {rows: compute_bounds(sub).bounds for rows, sub in patterns if rows}
         if mode == MODE_STRICT
@@ -352,12 +347,16 @@ class NormalizationResult:
     rebuilt: tuple[int, ...]  # 1-based indices of replaced components
     matrix: CornerMatrix
 
-    def to_obj(self) -> dict:
-        return {
-            "module": self.module.to_obj(),
-            "rebuilt": list(self.rebuilt),
-            "matrix": [list(row) for row in self.matrix],
-        }
+
+def _misowned(view: CornerMatrixView) -> list[int]:
+    """The 0-based corner components whose own corner set differs from the
+    module corners they contribute to, read off the view's tables."""
+    out = []
+    for h, table in enumerate(view.component_tables):
+        shared = {c for c, row in zip(view.corners, view.rows) if row[h]}
+        if shared and shared != {c for c, _v in corner_sequence(table)}:
+            out.append(h)
+    return out
 
 
 def normalize_module(
@@ -375,45 +374,30 @@ def normalize_module(
     if any(f != 0 for f in module.shifts):
         raise SpecError("normalization assumes unshifted components")
     view = corner_matrix(module)
-    before = corner_sequence(view.table)
+    before = list(zip(view.corners, view.values))
     if not before:
         return NormalizationResult(module, (), ())
-    corners = view.corners
-    components: list[MonomialIdeal] = []
-    rebuilt: list[int] = []
-    for h, ideal in enumerate(module.components):
-        rows = tuple(i for i in range(len(corners)) if view.rows[i][h])
-        if not rows:
-            components.append(ideal)
-            continue
-        own = {c for c, _v in corner_sequence(ek_betti(ideal))}
-        shared = {corners[i] for i in rows}
-        if own == shared:
-            components.append(ideal)
-            continue
+    components = list(module.components)
+    rebuilt = _misowned(view)
+    for h in rebuilt:
+        rows = [i for i, row in enumerate(view.rows) if row[h]]
         sub = CornerSpec(
             module.n,
-            tuple(corners[i] for i in rows),
+            tuple(view.corners[i] for i in rows),
             tuple(view.rows[i][h] for i in rows),
         )
-        components.append(construct_ideal(sub, mode).ideal)
-        rebuilt.append(h + 1)
+        components[h] = construct_ideal(sub, mode).ideal
     result = MonomialSubmodule(module.n, tuple(components))
     view2 = corner_matrix(result)
-    after = corner_sequence(view2.table)
+    after = list(zip(view2.corners, view2.values))
     if after != before:
         raise VerificationFailed(
             f"normalization moved the corner sequence: {_corner_text(after)}"
         )
-    for h, ideal in enumerate(result.components):
-        rows = tuple(i for i in range(len(view2.corners)) if view2.rows[i][h])
-        if not rows:
-            continue
-        own = {c for c, _v in corner_sequence(ek_betti(ideal))}
-        shared = {view2.corners[i] for i in rows}
-        if own != shared:
-            raise VerificationFailed(
-                f"component {h + 1} still owns corners outside its module "
-                f"contribution after normalization"
-            )
-    return NormalizationResult(result, tuple(rebuilt), view2.rows)
+    still = _misowned(view2)
+    if still:
+        raise VerificationFailed(
+            f"component {still[0] + 1} still owns corners outside its module "
+            f"contribution after normalization"
+        )
+    return NormalizationResult(result, tuple(h + 1 for h in rebuilt), view2.rows)

@@ -19,6 +19,7 @@ from conftest import (
     CHAIN_SMALL_CORNERS,
     CHAIN_SMALL_GENS,
 )
+from corner_reference import extremal_from_generators
 from stablebetti import (
     MODE_COUPLED,
     MODE_STRICT,
@@ -35,7 +36,6 @@ from stablebetti import (
     coupled_chain,
     ek_betti,
     enumerate_strongly_stable,
-    extremal_from_generators,
     koszul_betti,
     module_corner_report,
     realize_module,

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from corner_reference import extremal_from_generators
 
 from stablebetti import (
     BettiTable,
@@ -11,9 +12,7 @@ from stablebetti import (
     NotStable,
     corner_matrix,
     corner_sequence,
-    corners_from_generators,
     ek_betti,
-    extremal_from_generators,
     extremal_from_table,
     module_corner_report,
     render_diagram,
@@ -25,7 +24,14 @@ def test_table_round_trip_and_equality():
     assert table.beta(1, 3) == 3
     assert table.beta(5, 5) == 0
     assert not table.is_zero
-    assert BettiTable.from_json(table.to_json()) == table
+    assert table.to_obj() == {
+        "n": 3,
+        "entries": [
+            {"i": 0, "j": 2, "beta": 3},
+            {"i": 1, "j": 3, "beta": 3},
+            {"i": 2, "j": 4, "beta": 1},
+        ],
+    }
     assert table != BettiTable(4, dict(table.entries))
     assert BettiTable(2, {}).is_zero
 
@@ -88,7 +94,9 @@ def test_generator_characterization_agrees_with_table_scan(chain_small):
     ideal = chain_small
     table = ek_betti(ideal)
     assert extremal_from_table(table) == extremal_from_generators(ideal)
-    assert corners_from_generators(ideal) == corner_sequence(table)
+    assert [cv for cv in extremal_from_generators(ideal) if cv[0].k >= 1] == (
+        corner_sequence(table)
+    )
 
 
 def test_chain_fixture_corner_values(chain_small, chain_large):

@@ -1,5 +1,9 @@
+import functools
 import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablebetti import (
     InfeasibleSpec,
@@ -8,7 +12,9 @@ from stablebetti import (
     UncoveredByCharacterization,
     VerificationFailed,
     __version__,
+    cli,
     enumerate_strongly_stable,
+    realize_module,
 )
 from stablebetti.cli import _exit_code, run
 
@@ -206,6 +212,28 @@ def test_realize_module_infeasible_exit_2():
     assert "cap 6" in payload["message"]
 
 
+def test_exhausted_search_budget_exits_1(monkeypatch):
+    # a feasible spec that a 2,000-node search cannot settle is refused as
+    # budget trouble (exit 1), not as an infeasible spec (exit 2)
+    monkeypatch.setattr(
+        cli, "realize_module", functools.partial(realize_module, node_budget=2000)
+    )
+    doc = {
+        "n": 8,
+        "m": 3,
+        "corners": [
+            {"k": 7, "l": 2, "a": 4},
+            {"k": 5, "l": 5, "a": 48},
+            {"k": 3, "l": 8, "a": 119},
+        ],
+    }
+    code, out, err = invoke(["realize-module"], json.dumps(doc))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "InfeasibleSpec"
+    assert "budget exhausted" in payload["message"]
+
+
 def test_realize_module_filler_columns():
     code, out, _err = invoke(["realize-module", "--m", "3"], json.dumps(SPEC3))
     assert code == 0
@@ -240,4 +268,49 @@ def test_exit_code_mapping():
     assert _exit_code(UncoveredByCharacterization("x")) == 3
     assert _exit_code(NotStable("x", 1)) == 2
     assert _exit_code(InfeasibleSpec("x")) == 2
+    assert _exit_code(InfeasibleSpec("x", exhausted_budget=True)) == 1
     assert _exit_code(SpecError("x")) == 1
+
+
+_JSON_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers(-8, 8)
+    | st.just(1.5)
+    | st.sampled_from(["", "k", "ab"])
+)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["k", "l", "a", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+_CORNERS = _JSON | st.lists(
+    st.fixed_dictionaries({"k": _JSON_LEAF, "l": _JSON_LEAF, "a": _JSON_LEAF}),
+    max_size=3,
+)
+_EXIT_BY_ERROR = {"SpecError": 1, "InfeasibleSpec": 2, "UncoveredByCharacterization": 3}
+
+
+@settings(deadline=None, max_examples=300)
+@given(n=_JSON_LEAF, corners=_CORNERS)
+def test_any_corners_document_gets_a_typed_answer(n, corners):
+    # no traceback (run would raise), the exit code follows the error, and
+    # a malformed container gets a fixed message, never Python's own text
+    code, out, err = invoke(["realize-ideal"], json.dumps({"n": n, "corners": corners}))
+    if code == 0:
+        assert err == "" and json.loads(out)["witness"]
+        return
+    assert out == ""
+    payload = json.loads(err)
+    assert code == _EXIT_BY_ERROR[payload["error"]]
+    if not isinstance(corners, list) or not all(isinstance(e, dict) for e in corners):
+        assert payload == {
+            "error": "SpecError",
+            "message": '"corners" must be a list of corner objects',
+        }
+    elif not all({"k", "l", "a"} <= set(e) for e in corners):
+        assert payload == {
+            "error": "SpecError",
+            "message": 'every corner needs keys "k", "l" and "a"',
+        }

@@ -6,7 +6,8 @@ stdout and the verbatim stderr (a JSON error object, or empty), recorded
 from the code before the corner windows were shared between bounds,
 verdicts, chain and search; the last seven cases (a zero component for
 check-stable, six mistyped JSON fields) were added when those inputs
-stopped crashing or being coerced. Any change to what a subcommand
+stopped crashing or being coerced, and the five malformed "corners"
+containers after them when those got fixed messages. Any change to what a subcommand
 prints shows up here as a digest mismatch.
 """
 
@@ -120,6 +121,15 @@ BAD_INPUTS = {
     "bool_value": (
         ["realize-ideal"],
         json.dumps({"n": 6, "corners": [{"k": 3, "l": 3, "a": True}]}),
+    ),
+    # malformed "corners" containers: a fixed message, never Python's text
+    "corners_object": (["realize-ideal"], json.dumps({"n": 4, "corners": {"k": 3}})),
+    "corners_int_list": (["realize-ideal"], json.dumps({"n": 4, "corners": [3]})),
+    "corners_string": (["realize-ideal"], json.dumps({"n": 4, "corners": "ab"})),
+    "corners_null": (["realize-ideal"], json.dumps({"n": 4, "corners": None})),
+    "corner_without_a": (
+        ["realize-ideal"],
+        json.dumps({"n": 4, "corners": [{"k": 3, "l": 2}]}),
     ),
 }
 
@@ -430,6 +440,32 @@ EXPECTED = {
         0,
         '928f4c8555417e18b30bc04a1d4e6c46c412915e697a35a7c76b04c8e786cb52',
         '',
+    ),
+    # recorded when malformed corner containers got fixed messages
+    'bad corners_object': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "SpecError", "message": "\\"corners\\" must be a list of corner objects"}\n',
+    ),
+    'bad corners_int_list': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "SpecError", "message": "\\"corners\\" must be a list of corner objects"}\n',
+    ),
+    'bad corners_string': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "SpecError", "message": "\\"corners\\" must be a list of corner objects"}\n',
+    ),
+    'bad corners_null': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "SpecError", "message": "\\"corners\\" must be a list of corner objects"}\n',
+    ),
+    'bad corner_without_a': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "SpecError", "message": "every corner needs keys \\"k\\", \\"l\\" and \\"a\\""}\n',
     ),
 }
 

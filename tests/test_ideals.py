@@ -11,6 +11,7 @@ from stablebetti import (
     MonomialSubmodule,
     MonomialSyntaxError,
     borel_closure,
+    degree,
     minimalize,
     parse_module_or_ideal,
     parse_monomial,
@@ -48,9 +49,7 @@ def test_contains_and_degrees():
     ideal = MonomialIdeal.from_strings(3, ["x1^2", "x2^3"])
     assert ideal.contains(parse_monomial("x1^2*x3", 3))
     assert not ideal.contains(parse_monomial("x1*x2^2", 3))
-    assert ideal.initial_degree() == 2
-    assert ideal.max_gen_degree() == 3
-    assert ideal.gens_of_degree(3) == (parse_monomial("x2^3", 3),)
+    assert [degree(g) for g in ideal.gens] == [2, 3]
     assert reference.graded_slice(ideal, 2) == [parse_monomial("x1^2", 3)]
     assert len(reference.graded_slice(ideal, 3)) == 3 + 1  # x1^2 * {x1,x2,x3}, x2^3
 
@@ -100,7 +99,7 @@ def test_borel_closure_is_strongly_stable_and_minimal():
 
 def test_json_round_trip():
     ideal = MonomialIdeal.from_strings(3, ["x1^2", "x2^3"])
-    assert MonomialIdeal.from_json(ideal.to_json()) == ideal
+    assert MonomialIdeal.from_obj(json.loads(ideal.to_json())) == ideal
     obj = json.loads(ideal.to_json())
     assert obj == {"n": 3, "generators": ["x1^2", "x2^3"]}
     with pytest.raises(MonomialSyntaxError):
@@ -140,7 +139,7 @@ def test_module_generators_include_shifts():
 def test_module_json_round_trip():
     ideal = MonomialIdeal.from_strings(2, ["x1"])
     module = MonomialSubmodule(2, (ideal, ideal), (0, 1))
-    again = MonomialSubmodule.from_json(module.to_json())
+    again = MonomialSubmodule.from_obj(json.loads(module.to_json()))
     assert again == module
     with pytest.raises(MonomialSyntaxError):
         MonomialSubmodule.from_obj({"n": 2, "components": [], "m": 1})

@@ -6,13 +6,9 @@ from ideal_reference import divides
 
 from stablebetti import (
     BadRange,
-    DegreeMismatch,
-    InvalidMove,
     MonomialSyntaxError,
-    borel_move,
     degree,
     format_monomial,
-    lex_compare,
     max_index,
     parse_monomial,
 )
@@ -62,20 +58,15 @@ def test_parse_rejects_garbage():
             parse_monomial(bad, 3)
 
 
-def test_lex_compare_fixed_points():
+def test_lex_order_fixed_points():
+    # within one degree the tuple order is the lex order
     n = 3
     a = parse_monomial("x1^2", n)
     b = parse_monomial("x1*x2", n)
     c = parse_monomial("x2^2", n)
-    assert lex_compare(a, b) == 1
-    assert lex_compare(b, c) == 1
-    assert lex_compare(c, c) == 0
-    assert lex_compare(b, a) == -1
-
-
-def test_lex_compare_needs_equal_degrees():
-    with pytest.raises(DegreeMismatch):
-        lex_compare((1, 0), (2, 0))
+    assert degree(a) == degree(b) == degree(c)
+    assert a > b > c
+    assert sorted([c, a, b], reverse=True) == [a, b, c]
 
 
 def test_iter_degree_is_lex_descending_and_complete():
@@ -84,19 +75,17 @@ def test_iter_degree_is_lex_descending_and_complete():
             listed = list(iter_degree(n, d))
             assert len(listed) == math.comb(n + d - 1, d)
             for u, v in zip(listed, listed[1:]):
-                assert lex_compare(u, v) == 1
+                assert u > v
 
 
 def test_borel_move_lowers_index():
     u = parse_monomial("x2*x3^2", 3)
-    assert borel_move(u, 3, 1) == parse_monomial("x1*x2*x3", 3)
-    assert borel_move(u, 2, 1) == parse_monomial("x1*x3^2", 3)
-    with pytest.raises(InvalidMove):
-        borel_move(u, 1, 2)  # j must be smaller than i
-    with pytest.raises(InvalidMove):
-        borel_move(u, 1, 1)
-    with pytest.raises(InvalidMove):
-        borel_move(parse_monomial("x2^2", 3), 3, 1)  # x3 does not divide
+    moves = borel_moves(u)
+    assert parse_monomial("x1*x2*x3", 3) in moves  # x3 -> x1
+    assert parse_monomial("x1*x3^2", 3) in moves  # x2 -> x1
+    # only absent variables: x1 has no lower index, x3 does not divide x2^2
+    assert borel_moves(parse_monomial("x1^2", 3)) == []
+    assert borel_moves(parse_monomial("x2^2", 3)) == [parse_monomial("x1*x2", 3)]
 
 
 def test_borel_moves_enumerates_all_single_steps():
@@ -116,8 +105,6 @@ def test_borel_move_preserves_degree_randomized():
         u = tuple(rng.randint(0, 3) for _ in range(n))
         if max_index(u) < 2:
             continue
-        i = max_index(u)
-        j = rng.randint(1, i - 1)
-        v = borel_move(u, i, j)
-        assert degree(v) == degree(u)
-        assert lex_compare(v, u) == 1  # moves always raise lex order
+        for v in borel_moves(u):
+            assert degree(v) == degree(u)
+            assert v > u  # moves always raise lex order

@@ -22,6 +22,7 @@ from stablebetti import (
     borel_closure,
     bruteforce_realizability,
     corner_sequence,
+    degree,
     ek_betti,
     enumerate_strongly_stable,
     integer_rank,
@@ -120,6 +121,18 @@ def test_degree_cap_independence_and_refusal():
         koszul_betti(ideal, degree_cap=top)
     with pytest.raises(CapTooLow):
         koszul_betti(ideal, degree_cap=2)
+    # not stable: entries reach degree 12, past max generator degree + n =
+    # 9, but not past deg lcm(generators) + 1 = 19, the default cap
+    ideal = MonomialIdeal.from_strings(6, [
+        "x1^3", "x2^3", "x3^3", "x4^3", "x5^3", "x6^3", "x1*x2*x3", "x4*x5*x6",
+        "x1*x4", "x2*x5", "x3*x6", "x1*x6", "x2*x4",
+    ])
+    default = koszul_betti(ideal)
+    assert len(default.entries) == 22
+    assert max(j for _i, j in default.entries) == 12
+    assert koszul_betti(ideal, degree_cap=19) == default
+    with pytest.raises(CapTooLow):
+        koszul_betti(ideal, degree_cap=9)
 
 
 def test_lcm_multidegrees_by_hand():
@@ -138,7 +151,7 @@ def test_dense_slice_cross_check():
     ]
     for ideal in samples:
         table = koszul_betti(ideal)
-        top = ideal.max_gen_degree() + ideal.n
+        top = degree(ideal.gens[-1]) + ideal.n
         for j in range(1, top + 1):
             slice_ = GradedComplexSlice.build(ideal, j)
             dims = slice_.homology()
@@ -240,7 +253,7 @@ def test_census_members_are_strongly_stable_and_unique():
     seen = set()
     for ideal in enumerate_strongly_stable(3, 3):
         assert ideal.is_strongly_stable()
-        assert ideal.max_gen_degree() <= 3
+        assert all(degree(g) <= 3 for g in ideal.gens)
         key = ideal.to_json()
         assert key not in seen
         seen.add(key)

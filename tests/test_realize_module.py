@@ -2,6 +2,7 @@ import importlib
 from collections import Counter
 
 import pytest
+from conftest import patch_everywhere
 
 from stablebetti import (
     Corner,
@@ -12,14 +13,15 @@ from stablebetti import (
     MonomialSubmodule,
     SpecError,
     UncoveredByCharacterization,
-    VerificationFailed,
-    column_bounds,
+    compute_bounds,
     construct_module,
     corner_matrix,
     corner_sequence,
+    degree,
     ek_betti,
     filler_ideal,
     find_corner_matrix,
+    module_corner_report,
     normalize_module,
     realize_module,
     validate_corner_matrix,
@@ -50,9 +52,13 @@ def test_validate_module_spec_value_range():
 
 def test_column_bounds_match_single_ideal_bounds():
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
-    assert column_bounds(s, (0, 1, 2)) == (1, 3, 1)
-    assert column_bounds(s, (1,)) == (10,)  # lone corner: full peak stratum
-    assert column_bounds(s, (0, 2)) == (2, 1)
+
+    def column_bounds(rows):
+        return compute_bounds(s.sub_spec(rows)).bounds
+
+    assert column_bounds((0, 1, 2)) == (1, 3, 1)
+    assert column_bounds((1,)) == (10,)  # lone corner: full peak stratum
+    assert column_bounds((0, 2)) == (2, 1)
 
 
 def test_find_corner_matrix_frozen_single_corner():
@@ -140,7 +146,7 @@ def test_filler_ideal_is_corner_invisible():
     filler = filler_ideal(6, 2, 2)
     assert filler == MonomialIdeal.from_strings(6, ["x1", "x2", "x3"])
     filler5 = filler_ideal(6, 5, 3)
-    assert filler5.max_gen_degree() == 4
+    assert {degree(g) for g in filler5.gens} == {4}
     assert filler5.is_strongly_stable()
     anchor = MonomialIdeal.from_strings(6, [
         "x1^2", "x1*x2", "x1*x3", "x1*x4", "x1*x5", "x1*x6",
@@ -190,6 +196,30 @@ def test_normalize_module_rebuilds_offending_component(bundle4):
     rebuilt = res.module.components[3]
     own = corner_sequence(ek_betti(rebuilt))
     assert own == [(Corner(3, 3), 3)]
+
+
+@pytest.mark.parametrize(
+    "name, normalize_tables", [("bundle4", 4 + 1 + 4), ("bundle3", 3 + 0 + 3)]
+)
+def test_each_component_table_is_built_once(
+    monkeypatch, request, name, normalize_tables
+):
+    # the report reads its component corners off the corner matrix's tables;
+    # normalization builds one table per component before and after the
+    # rebuild, plus one in each rebuilt column's self-verification
+    module = request.getfixturevalue(name)
+    tables = []
+
+    def counting_ek_betti(ideal):
+        tables.append(ideal)
+        return ek_betti(ideal)
+
+    patch_everywhere(monkeypatch, ek_betti, counting_ek_betti)
+    module_corner_report(module)
+    assert tables == list(module.components)
+    tables.clear()
+    normalize_module(module)
+    assert len(tables) == normalize_tables
 
 
 def test_normalize_module_requires_unshifted_components():
