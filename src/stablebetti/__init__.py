@@ -23,7 +23,6 @@ from .errors import (
     BadDegree,
     BadRange,
     BudgetExceeded,
-    CapTooLow,
     EmptyIdeal,
     InfeasibleSpec,
     MonomialSyntaxError,
@@ -66,7 +65,6 @@ from .realize_ideal import (
     ValueVerdict,
     check_values,
     compute_bounds,
-    construct_degree2_chain,
     construct_ideal,
     coupled_chain,
     validate_positions,
@@ -93,7 +91,6 @@ __all__ = [
     "BettiTable",
     "BoundReport",
     "BudgetExceeded",
-    "CapTooLow",
     "Corner",
     "CornerMatrix",
     "CornerMatrixView",
@@ -122,7 +119,6 @@ __all__ = [
     "bruteforce_realizability",
     "check_values",
     "compute_bounds",
-    "construct_degree2_chain",
     "construct_ideal",
     "construct_module",
     "corner_matrix",

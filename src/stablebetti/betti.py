@@ -131,6 +131,7 @@ class CornerMatrixView:
     corner_components: tuple[int, ...]  # 1-based component indices
     table: BettiTable  # the module's table, the sum of the component tables
     component_tables: tuple[BettiTable, ...]  # each shifted by its f_h
+    extremals: tuple[tuple[Corner, int], ...]  # of the table, k = 0 included
 
 
 def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
@@ -148,9 +149,9 @@ def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
         for key, b in table.entries.items():
             entries[key] = entries.get(key, 0) + b
     table = BettiTable(module.n, entries)
-    seq = corner_sequence(table)
-    corners = tuple(c for c, _v in seq)
-    values = tuple(v for _c, v in seq)
+    extremals = tuple(extremal_from_table(table))
+    corners = tuple(c for c, _v in extremals if c.k >= 1)
+    values = tuple(v for c, v in extremals if c.k >= 1)
     rows = tuple(
         tuple(t.beta(c.k, c.k + c.ell) for t in component_tables) for c in corners
     )
@@ -160,7 +161,7 @@ def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
         if any(row[h] for row in rows)
     )
     return CornerMatrixView(
-        corners, values, rows, nonzero_cols, table, tuple(component_tables)
+        corners, values, rows, nonzero_cols, table, tuple(component_tables), extremals
     )
 
 
@@ -184,7 +185,7 @@ def module_corner_report(module: MonomialSubmodule) -> dict:
                 "module_corners": [{"k": c.k, "l": c.ell} for c in shared],
             }
         )
-    k0_extremals = [cv for cv in extremal_from_table(view.table) if cv[0].k == 0]
+    k0_extremals = [cv for cv in view.extremals if cv[0].k == 0]
     return {
         "n": module.n,
         "m": module.m,

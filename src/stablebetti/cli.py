@@ -92,15 +92,7 @@ def _build_parser() -> _Parser:
     with_input("check-stable", _cmd_check_stable, "stability check, never errors")
     with_input("diagram", _cmd_diagram, "plain-text Betti diagram")
 
-    p = with_input(
-        "oracle-betti", _cmd_oracle_betti, "Betti table from Koszul homology"
-    )
-    p.add_argument(
-        "--degree-cap",
-        type=int,
-        default=None,
-        help="refuse tables reaching this internal degree (default: safe)",
-    )
+    with_input("oracle-betti", _cmd_oracle_betti, "Betti table from Koszul homology")
 
     with_mode("realize-ideal", _cmd_realize_ideal, "construct an ideal from a spec")
 
@@ -201,7 +193,7 @@ def _cmd_diagram(args, stdout, stdin) -> int:
 
 def _cmd_oracle_betti(args, stdout, stdin) -> int:
     module = parse_module_or_ideal(_read_input(args.input, stdin))
-    table = koszul_betti(module, degree_cap=args.degree_cap)
+    table = koszul_betti(module)
     out = _table_doc(table)
     if all(
         not c.is_zero and c.is_stable() for c in module.components

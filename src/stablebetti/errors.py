@@ -41,10 +41,6 @@ class NotStable(StableBettiError):
         self.move = move
 
 
-class CapTooLow(StableBettiError):
-    """Homology is still nonzero at the top tracked degree."""
-
-
 class BudgetExceeded(StableBettiError):
     """Enumeration or search exceeded its configured budget."""
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .betti import BettiTable, corner_sequence, ek_betti
-from .errors import BadRange, BudgetExceeded, CapTooLow
+from .errors import BadRange, BudgetExceeded
 from .ideals import MonomialIdeal, MonomialSubmodule
 from .monomials import (
     Monomial,
@@ -207,28 +207,17 @@ def _ideal_tor(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
     return out
 
 
-def koszul_betti(
-    module: MonomialSubmodule | MonomialIdeal, degree_cap: int | None = None
-) -> BettiTable:
+def koszul_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     """Betti table from Koszul homology; exact, no stability assumption.
 
-    Every entry of a component sits at an lcm point of its generators, so
-    its internal degree is at most deg lcm(all generators) + f_h. The
-    default cap is one more than the largest such bound, so it never
-    refuses. Every cap above the top nonzero internal degree gives the same
-    table; a cap at or below it is refused with CapTooLow rather than
-    silently truncating.
+    Every nonzero entry of a component sits at an lcm point of its
+    generators, so the table is complete once every lcm point of every
+    component has been visited, each component's entries shifted by f_h.
+    The work grows with the size of the lcm lattice, which nothing here
+    bounds.
     """
     if isinstance(module, MonomialIdeal):
         module = MonomialSubmodule.of_ideal(module)
-    n = module.n
-    if degree_cap is None:
-        tops = [
-            sum(map(max, zip(*ideal.gens))) + f
-            for ideal, f in zip(module.components, module.shifts)
-            if not ideal.is_zero
-        ]
-        degree_cap = max(tops, default=0) + 1
     entries: dict[tuple[int, int], int] = {}
     for ideal, f in zip(module.components, module.shifts):
         if ideal.is_zero:
@@ -236,14 +225,7 @@ def koszul_betti(
         for (i, j), dim in _ideal_tor(ideal).items():
             key = (i, j + f)
             entries[key] = entries.get(key, 0) + dim
-    if entries:
-        top = max(j for _i, j in entries)
-        if top >= degree_cap:
-            raise CapTooLow(
-                f"nonzero Betti entries reach internal degree {top} but the "
-                f"cap is {degree_cap}; raise degree_cap above {top}"
-            )
-    return BettiTable(n, entries)
+    return BettiTable(module.n, entries)
 
 
 def _single_shadow(n: int, monos) -> set[Monomial]:
@@ -345,12 +327,7 @@ class _BudgetInterrupt(Exception):
 
 
 def bruteforce_realizability(
-    spec,
-    *,
-    m: int = 1,
-    decision_budget: int = 2_000_000,
-    census_max_degree: int | None = None,
-    allow_large: bool = False,
+    spec, *, m: int = 1, decision_budget: int = 2_000_000
 ) -> SearchResult:
     """Search for a witness of a corner spec without the constructive theory.
 
@@ -360,17 +337,16 @@ def bruteforce_realizability(
     their largest variable index is capped by the next corner still ahead,
     and a corner degree must carry exactly its value's worth of generators
     peaking at that cap. Candidates are confirmed against the Betti table
-    before being returned. For m > 1 the component census (degrees up to
-    the last corner degree, overridable) is materialized and m-tuples are
-    scanned in deterministic order.
+    before being returned. For m > 1 the component census up to the last
+    corner degree is materialized, within the census guard rails (n <= 5,
+    degree <= 6, else BudgetExceeded), and m-tuples are scanned in
+    deterministic order.
     """
     if m < 1:
         raise BadRange(f"need m >= 1, got {m}")
     if m == 1:
         return _ideal_witness_search(spec, decision_budget)
-    return _module_witness_search(
-        spec, m, decision_budget, census_max_degree, allow_large
-    )
+    return _module_witness_search(spec, m, decision_budget)
 
 
 def _ideal_witness_search(spec, decision_budget: int) -> SearchResult:
@@ -490,21 +466,10 @@ def _ideal_witness_search(spec, decision_budget: int) -> SearchResult:
     return SearchResult(None, True, decisions[0])
 
 
-def _module_witness_search(
-    spec,
-    m: int,
-    decision_budget: int,
-    census_max_degree: int | None,
-    allow_large: bool,
-) -> SearchResult:
+def _module_witness_search(spec, m: int, decision_budget: int) -> SearchResult:
     n = spec.n
     target = list(zip(spec.corners, spec.values))
-    max_degree = (
-        census_max_degree if census_max_degree is not None else spec.corners[-1].ell
-    )
-    census = list(
-        enumerate_strongly_stable(n, max_degree, allow_large=allow_large)
-    )
+    census = list(enumerate_strongly_stable(n, spec.corners[-1].ell))
     tables = [ek_betti(ideal).entries for ideal in census]
     count = 0
     for combo in itertools.product(range(len(census)), repeat=m):

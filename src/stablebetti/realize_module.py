@@ -41,9 +41,9 @@ from .realize_ideal import (
     _check_mode,
     _corner_text,
     _coupled_walk,
+    _strict_report,
     _windows,
     check_values,
-    compute_bounds,
     construct_ideal,
     validate_positions,
 )
@@ -75,17 +75,21 @@ def validate_module_spec(spec: CornerSpec, m: int) -> PositionVerdict:
 
 
 def _admissible_patterns(spec: CornerSpec):
-    """Bitmask-ordered candidate patterns with their sub-specs."""
+    """Bitmask-ordered candidate patterns with their sub-specs and windows.
+
+    Patterns whose sub-spec fails position screening are skipped; each
+    remaining pattern's windows are built here, once per search.
+    """
     r = spec.r
     out = []
     for bits in range((1 << r) - 1, -1, -1):
         rows = tuple(i for i in range(r) if bits >> (r - 1 - i) & 1)
         if not rows:
-            out.append((rows, None))
+            out.append((rows, None, None))
             continue
         sub = spec.sub_spec(rows, values=tuple(1 for _ in rows))
         if validate_positions(sub).admissible:
-            out.append((rows, sub))
+            out.append((rows, sub, _windows(sub)))
     return out
 
 
@@ -123,7 +127,7 @@ def find_corner_matrix(
     r = spec.r
     patterns = _admissible_patterns(spec)
     strict_caps = (
-        {rows: compute_bounds(sub).bounds for rows, sub in patterns if rows}
+        {rows: _strict_report(sub, ws).bounds for rows, sub, ws in patterns if rows}
         if mode == MODE_STRICT
         else {}
     )
@@ -142,7 +146,6 @@ def find_corner_matrix(
     columns: list[tuple[int, ...]] = []
     found: list[CornerMatrix] = []
 
-    # windows: sub's coupled-mode windows, shared by one column attempt
     def fill_column(rows, sub, windows, pos: int, entries: list[int]) -> bool:
         spend()
         if pos == len(rows):
@@ -188,7 +191,7 @@ def find_corner_matrix(
             rem[i] > cols_left * single_cap[i] or rem[i] < 0 for i in range(r)
         ):
             return False
-        for rows, sub in patterns:
+        for rows, sub, windows in patterns:
             if rows and any(rem[i] == 0 for i in rows):
                 continue
             # rows this column skips must be coverable by the columns after it
@@ -203,10 +206,8 @@ def find_corner_matrix(
                 if place(h + 1):
                     return True
                 columns.pop()
-            else:
-                windows = _windows(sub) if mode == MODE_COUPLED else None
-                if fill_column(rows, sub, windows, 0, []):
-                    return True
+            elif fill_column(rows, sub, windows, 0, []):
+                return True
         return False
 
     if place(0):

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import chain_reference
 from conftest import (
     CHAIN_LARGE_CORNERS,
     CHAIN_LARGE_GENS,
@@ -29,7 +30,6 @@ from stablebetti import (
     bruteforce_realizability,
     check_values,
     compute_bounds,
-    construct_degree2_chain,
     construct_ideal,
     corner_matrix,
     corner_sequence,
@@ -100,8 +100,9 @@ def test_c03_unit_value_chain_constructions(chain_small, chain_large):
             tuple(Corner(k, l) for k, l in pairs),
             tuple(1 for _ in pairs),
         )
-        built = construct_degree2_chain(spec)
+        built = construct_ideal(spec).ideal
         assert built == fixture
+        assert chain_reference.construct_degree2_chain(spec) == fixture
         assert corner_sequence(ek_betti(built)) == [
             (Corner(k, l), 1) for k, l in pairs
         ]

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from conftest import patch_everywhere
 from corner_reference import extremal_from_generators
 
 from stablebetti import (
@@ -127,6 +128,7 @@ def test_corner_matrix_table_is_the_shifted_sum_of_the_columns(bundle3, bundle4)
         view = corner_matrix(module)
         assert view.table == ek_betti(module)
         assert list(zip(view.corners, view.values)) == corner_sequence(view.table)
+        assert list(view.extremals) == extremal_from_table(view.table)
     # a non-stable component is named by its index in the module
     unstable = MonomialSubmodule(
         3, (ideal, MonomialIdeal.from_strings(3, ["x2^2"])), (0, 0)
@@ -142,6 +144,22 @@ def test_module_corner_report_shapes(bundle4):
     assert report["n"] == 6 and report["m"] == 4
     assert [c["k"] for c in report["corners"]] == [5, 3, 2]
     assert len(report["components"]) == 4
+
+
+def test_module_corner_report_scans_the_module_table_once(monkeypatch, bundle4):
+    expected = module_corner_report(bundle4)
+    module_table = ek_betti(bundle4)
+    scanned = []
+
+    def counting_scan(table):
+        scanned.append(table)
+        return extremal_from_table(table)
+
+    patch_everywhere(monkeypatch, extremal_from_table, counting_scan)
+    assert module_corner_report(bundle4) == expected
+    # the module table once, then each of the four component tables
+    assert len(scanned) == 5
+    assert [t for t in scanned if t == module_table] == [module_table]
 
 
 def test_render_diagram_frozen():

@@ -7,8 +7,10 @@ from the code before the corner windows were shared between bounds,
 verdicts, chain and search; the last seven cases (a zero component for
 check-stable, six mistyped JSON fields) were added when those inputs
 stopped crashing or being coerced, and the five malformed "corners"
-containers after them when those got fixed messages. Any change to what a subcommand
-prints shows up here as a digest mismatch.
+containers after them when those got fixed messages, and the last case
+(oracle-betti with the removed --degree-cap flag) when the flag went.
+Any change to what a subcommand prints shows up here as a digest
+mismatch.
 """
 
 import hashlib
@@ -131,6 +133,8 @@ BAD_INPUTS = {
         ["realize-ideal"],
         json.dumps({"n": 4, "corners": [{"k": 3, "l": 2}]}),
     ),
+    # oracle-betti takes no degree cap: the flag is a usage error
+    "degree_cap": (["oracle-betti", "--degree-cap", "4"], DOCUMENTS["chain_small"]),
 }
 
 
@@ -466,6 +470,12 @@ EXPECTED = {
         1,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '{"error": "SpecError", "message": "every corner needs keys \\"k\\", \\"l\\" and \\"a\\""}\n',
+    ),
+    # recorded when oracle-betti lost its degree cap
+    'bad degree_cap': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "_UsageError", "message": "stablebetti: unrecognized arguments: --degree-cap 4"}\n',
     ),
 }
 

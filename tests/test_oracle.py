@@ -15,7 +15,6 @@ from koszul_reference import (
 
 from stablebetti import (
     BudgetExceeded,
-    CapTooLow,
     CornerSpec,
     MonomialIdeal,
     MonomialSubmodule,
@@ -111,28 +110,19 @@ def test_koszul_on_shifted_module():
     assert koszul_betti(module) == ek_betti(module)
 
 
-def test_degree_cap_independence_and_refusal():
+def test_koszul_tables_of_a_stable_and_a_non_stable_ideal():
     ideal = MonomialIdeal.from_strings(3, ["x1^2", "x1*x2", "x1*x3"])
-    default = koszul_betti(ideal)
-    top = max(j for _i, j in default.entries)  # == 4
-    for cap in (top + 1, top + 2, top + 7):
-        assert koszul_betti(ideal, degree_cap=cap) == default
-    with pytest.raises(CapTooLow):
-        koszul_betti(ideal, degree_cap=top)
-    with pytest.raises(CapTooLow):
-        koszul_betti(ideal, degree_cap=2)
-    # not stable: entries reach degree 12, past max generator degree + n =
-    # 9, but not past deg lcm(generators) + 1 = 19, the default cap
+    table = koszul_betti(ideal)
+    assert table == ek_betti(ideal)
+    assert max(j for _i, j in table.entries) == 4
+    # not stable: entries reach degree 12, past max generator degree + n = 9
     ideal = MonomialIdeal.from_strings(6, [
         "x1^3", "x2^3", "x3^3", "x4^3", "x5^3", "x6^3", "x1*x2*x3", "x4*x5*x6",
         "x1*x4", "x2*x5", "x3*x6", "x1*x6", "x2*x4",
     ])
-    default = koszul_betti(ideal)
-    assert len(default.entries) == 22
-    assert max(j for _i, j in default.entries) == 12
-    assert koszul_betti(ideal, degree_cap=19) == default
-    with pytest.raises(CapTooLow):
-        koszul_betti(ideal, degree_cap=9)
+    table = koszul_betti(ideal)
+    assert len(table.entries) == 22
+    assert max(j for _i, j in table.entries) == 12
 
 
 def test_lcm_multidegrees_by_hand():

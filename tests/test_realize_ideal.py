@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import chain_reference
 import pytest
 import window_reference as reference
 from conftest import patch_everywhere
@@ -23,7 +24,6 @@ from stablebetti import (
     UncoveredByCharacterization,
     check_values,
     compute_bounds,
-    construct_degree2_chain,
     construct_ideal,
     construct_module,
     corner_sequence,
@@ -247,7 +247,6 @@ def test_realization_lists_no_stratum(monkeypatch, mode):
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
     out = construct_ideal(s, mode)
     assert [len(b) for b in out.blocks] == [6, 6, 1]
-    assert construct_degree2_chain(spec(4, [(3, 2), (2, 4)], [1, 1])).gens
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
     with pytest.raises(InfeasibleSpec):  # refused after a full search
         find_corner_matrix(s, 2, mode)
@@ -349,21 +348,45 @@ def test_realize_ideal_computes_one_witness_table(monkeypatch):
 
 
 def test_chain_constructor_simple_segment():
-    out = construct_degree2_chain(spec(4, [(2, 2)], [1]))
+    out = chain_reference.construct_degree2_chain(spec(4, [(2, 2)], [1]))
     assert out == MonomialIdeal.from_strings(4, ["x1^2", "x1*x2", "x1*x3"])
 
 
 def test_chain_constructor_validation():
     with pytest.raises(SpecError):
-        construct_degree2_chain(spec(4, [(2, 3)], [1]))
+        chain_reference.construct_degree2_chain(spec(4, [(2, 3)], [1]))
     with pytest.raises(SpecError):
-        construct_degree2_chain(spec(4, [(2, 2), (1, 3)], [2, 1]))
+        chain_reference.construct_degree2_chain(spec(4, [(2, 2), (1, 3)], [2, 1]))
     with pytest.raises(UncoveredByCharacterization):
-        construct_degree2_chain(spec(4, [(1, 2)], [1]))
+        chain_reference.construct_degree2_chain(spec(4, [(1, 2)], [1]))
 
 
 def test_chain_constructor_two_corners():
-    out = construct_degree2_chain(spec(4, [(3, 2), (2, 4)], [1, 1]))
+    out = chain_reference.construct_degree2_chain(spec(4, [(3, 2), (2, 4)], [1, 1]))
     seq = corner_sequence(ek_betti(out))
     assert [(c.k, c.ell) for c, _v in seq] == [(3, 2), (2, 4)]
     assert [v for _c, v in seq] == [1, 1]
+
+
+@st.composite
+def _unit_chain_specs(draw):
+    """First degree 2, every value 1, n <= 9, degree steps 1..3; positions
+    unscreened."""
+    n = draw(st.integers(2, 9))
+    r = draw(st.integers(1, n - 1))
+    ks = sorted(draw(st.sets(st.integers(1, n - 1), min_size=r, max_size=r)))
+    steps = draw(st.lists(st.integers(1, 3), min_size=r - 1, max_size=r - 1))
+    ls = list(itertools.accumulate([2] + steps))
+    return spec(n, zip(reversed(ks), ls), [1] * r)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_unit_chain_specs(), st.sampled_from(MODES))
+def test_construct_ideal_equals_the_closed_form_chain(s, mode):
+    if not validate_positions(s).admissible:
+        with pytest.raises(UncoveredByCharacterization):
+            chain_reference.construct_degree2_chain(s)
+        with pytest.raises(UncoveredByCharacterization):
+            construct_ideal(s, mode)
+        return
+    assert construct_ideal(s, mode).ideal == chain_reference.construct_degree2_chain(s)

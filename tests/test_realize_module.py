@@ -8,6 +8,7 @@ from stablebetti import (
     Corner,
     CornerSpec,
     InfeasibleSpec,
+    MODE_COUPLED,
     MODE_STRICT,
     MonomialIdeal,
     MonomialSubmodule,
@@ -116,30 +117,40 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
     search_module = importlib.import_module("stablebetti.realize_module")
     original_windows = search_module._windows
     original_walk = search_module._coupled_walk
-    window_sets = []
-    attempts = []  # pattern length of every column attempt
+    window_sets = []  # the corners of every sub-spec whose windows are built
+    attempts = []  # the corners of every column attempt's pattern
     walks = []
 
     def counting_windows(sub):
-        window_sets.append(sub.r)
+        window_sets.append(sub.corners)
         return original_windows(sub)
 
     def counting_walk(sub, windows, entries):
         if not entries:  # the first node of a column attempt
-            attempts.append(sub.r)
+            attempts.append(sub.corners)
         walks.append(len(entries))
         return original_walk(sub, windows, entries)
 
-    monkeypatch.setattr(search_module, "_windows", counting_windows)
+    patch_everywhere(monkeypatch, original_windows, counting_windows)
     monkeypatch.setattr(search_module, "_coupled_walk", counting_walk)
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
-    if m == 2:
-        with pytest.raises(InfeasibleSpec):  # refused after a full search
-            find_corner_matrix(s, m)
-    else:
-        assert find_corner_matrix(s, m) == ((1, 2, 0), (3, 3, 2), (1, 0, 3))
-    assert window_sets == attempts  # one window set per attempt
-    assert len(walks) > len(attempts)  # later nodes reuse the attempt's set
+    expected = {
+        MODE_COUPLED: ((1, 2, 0), (3, 3, 2), (1, 0, 3)),
+        MODE_STRICT: ((3, 0, 0), (1, 7, 0), (0, 1, 3)),
+    }
+    for mode in (MODE_COUPLED, MODE_STRICT):
+        window_sets.clear()
+        if m == 2:
+            with pytest.raises(InfeasibleSpec):  # refused after a full search
+                find_corner_matrix(s, m, mode)
+        else:
+            assert find_corner_matrix(s, m, mode) == expected[mode]
+        # each pattern's windows are built at most once per search
+        assert len(window_sets) == len(set(window_sets)) <= 2**s.r - 1
+        if mode == MODE_COUPLED:
+            assert set(attempts) <= set(window_sets)
+            assert len(attempts) > len(set(attempts))  # patterns are retried
+            assert len(walks) > len(attempts)  # later nodes reuse the windows
 
 
 def test_filler_ideal_is_corner_invisible():
