@@ -50,7 +50,6 @@ from .oracle import (
     SearchResult,
     bruteforce_realizability,
     enumerate_strongly_stable,
-    integer_rank,
     koszul_betti,
     lcm_multidegrees,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "filler_ideal",
     "find_corner_matrix",
     "format_monomial",
-    "integer_rank",
     "koszul_betti",
     "lcm_multidegrees",
     "lex_count",

@@ -1,12 +1,14 @@
 """Independent ground truth for Betti tables and realizability claims.
 
 Two oracles live here, both exact. koszul_betti computes graded Betti
-numbers as integer ranks of Koszul-complex homology, one monomial
+numbers from the homology of the Koszul complex, one monomial
 multidegree at a time, with no stability assumption; it is the outside
-check on the generator formula in betti.py. enumerate_strongly_stable
-and bruteforce_realizability search the space of small strongly stable
-ideals directly, so realizability verdicts can be confronted with an
-exhaustive scan.
+check on the generator formula in betti.py. Each block's boundary maps
+are kept as sparse integer columns and ranked over Q by exact
+elimination that prefers unit pivots, and the lcm lattice is built on
+packed integers. enumerate_strongly_stable and bruteforce_realizability
+search the space of small strongly stable ideals directly, so
+realizability verdicts can be confronted with an exhaustive scan.
 
 The multidegree decomposition rests on two standard facts. Nonzero
 homology only occurs in multidegrees that are least common multiples of
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .betti import BettiTable, corner_sequence, ek_betti
 from .errors import BadRange, BudgetExceeded
@@ -36,32 +39,46 @@ from .monomials import (
 from .segments import stratum, stratum_size
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((t for t in range(row, nrows) if m[t][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        p = m[row][col]
-        for t in range(row + 1, nrows):
-            f = m[t][col]
-            mt, mr = m[t], m[row]
-            for c in range(col, ncols):
-                mt[c] = (mt[c] * p - f * mr[c]) // prev
-        prev = p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+def _rank(columns: list[dict[int, int]]) -> int:
+    """Rank over Q of an integer matrix given by its sparse columns
+    ({row: entry}), by exact elimination.
+
+    Each column is reduced against the pivots found so far, in the order
+    they were found; a pivot column is zero on every earlier pivot row, so
+    one pass leaves the column zero on all of them. A column that survives
+    becomes a pivot, on a +-1 entry where it has one, so that most updates
+    are plain integer subtraction. Against a pivot p that is not a unit the
+    update is fraction-free, p*col - f*pivot, and the column is divided by
+    the gcd of its entries; neither changes the rank over Q.
+    """
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for col in columns:
+        col = dict(col)
+        for r, (p, piv) in pivots.items():
+            f = col.get(r)
+            if not f:
+                continue
+            unit = p == 1 or p == -1
+            if unit:
+                f *= p
+            else:
+                g = gcd(p, f)
+                col = {row: v * (p // g) for row, v in col.items()}
+                f //= g
+            for row, v in piv.items():
+                w = col.get(row, 0) - f * v
+                if w:
+                    col[row] = w
+                else:
+                    del col[row]
+            if not unit and col:
+                g = gcd(*col.values())
+                if g > 1:
+                    col = {row: v // g for row, v in col.items()}
+        if col:
+            r = min(col, key=lambda row: abs(col[row]))  # +-1 where there is one
+            pivots[r] = (col[r], col)
+    return len(pivots)
 
 
 def _faces(s: int) -> list[tuple[int, int]]:
@@ -106,24 +123,35 @@ def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
                 raise AssertionError("Koszul boundary does not square to zero")
     ranks = [0] * (p + 2)
     for i in range(1, p + 1):
-        pos = {s: t for t, s in enumerate(by_size[i - 1])}
-        rows = [[0] * len(by_size[i]) for _ in range(len(by_size[i - 1]))]
-        for c, s in enumerate(by_size[i]):
-            for t, sign in faces[s]:
-                rows[pos[t]][c] = sign
-        ranks[i] = integer_rank(rows)
+        ranks[i] = _rank([dict(faces[s]) for s in by_size[i]])
     dims = tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(p + 1))
     _shape_homology_cache[(p, mask)] = dims
     return dims
 
 
 def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
-    """All least common multiples of non-empty generator subsets, sorted."""
-    pts: set[Monomial] = set()
+    """All least common multiples of non-empty generator subsets, sorted.
+
+    Generators are packed (monomials.packing) with x1 in the top field, so
+    integer order is tuple order, and an lcm is a field-wise max: the guard
+    bits of ge mark the fields where q >= g, and keep widens them to whole
+    fields, taken from q there and from g elsewhere.
+    """
+    pk = packing(ideal.n, max(map(max, ideal.gens)))
+    guards, shift = pk.guards, pk.width - 1
+    pts: set[int] = set()
     for g in ideal.gens:
-        pts |= {tuple(map(max, g, q)) for q in pts}
+        g = pk.pack(g[::-1])
+        pts |= {
+            q & keep | g & ~keep
+            for q in pts
+            for ge in [(q | guards) - g & guards]
+            for keep in [ge - (ge >> shift)]
+        }
         pts.add(g)
-    return sorted(pts)
+    field = (1 << shift) - 1
+    top = pk.shifts[::-1]
+    return [tuple(q >> s & field for s in top) for q in sorted(pts)]
 
 
 # Down-set tables keyed by (support guards, free guards), as built in
@@ -468,8 +496,15 @@ def _ideal_witness_search(spec, decision_budget: int) -> SearchResult:
 
 def _module_witness_search(spec, m: int, decision_budget: int) -> SearchResult:
     n = spec.n
+    last = spec.corners[-1].ell
+    if n > 5 or last > 6:
+        raise BudgetExceeded(
+            f"the module brute force scans the census up to the last corner "
+            f"degree and runs for n <= 5 and last corner degree <= 6 only, "
+            f"got n={n}, last corner degree {last}"
+        )
     target = list(zip(spec.corners, spec.values))
-    census = list(enumerate_strongly_stable(n, spec.corners[-1].ell))
+    census = list(enumerate_strongly_stable(n, last))
     tables = [ek_betti(ideal).entries for ideal in census]
     count = 0
     for combo in itertools.product(range(len(census)), repeat=m):

@@ -1,12 +1,14 @@
 """Definition-shaped reference versions of the Koszul oracle's inner loops.
 
 The oracle builds each lcm point's subset mask from the free coordinates
-of the generators dividing it, and checks d(d) = 0 face by face. These
-are the straightforward versions they replaced: one membership test per
-subset, and a dense product of consecutive boundary matrices. The tests
-compare the two bit for bit. GradedComplexSlice goes one step further
-back: the whole Koszul complex of a module in one internal degree, with
-dense matrices, straight from the definition.
+of the generators dividing it, checks d(d) = 0 face by face, ranks
+sparse boundary columns by unit-pivot elimination, and builds the lcm
+lattice on packed integers. These are the straightforward versions they
+replaced: one membership test per subset, a dense product of consecutive
+boundary matrices, dense Bareiss elimination, and a lattice of tuples.
+The tests compare the two exactly. GradedComplexSlice goes one step
+further back: the whole Koszul complex of a module in one internal
+degree, with dense matrices, straight from the definition.
 """
 
 import itertools
@@ -16,7 +18,44 @@ from ideal_reference import graded_slice
 
 from stablebetti.ideals import MonomialIdeal, MonomialSubmodule
 from stablebetti.monomials import Monomial, mul_var
-from stablebetti.oracle import integer_rank
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    row = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((t for t in range(row, nrows) if m[t][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        p = m[row][col]
+        for t in range(row + 1, nrows):
+            f = m[t][col]
+            mt, mr = m[t], m[row]
+            for c in range(col, ncols):
+                mt[c] = (mt[c] * p - f * mr[c]) // prev
+        prev = p
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
+
+
+def tuple_lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
+    """All least common multiples of non-empty generator subsets, sorted,
+    taken exponent by exponent on tuples."""
+    pts: set[Monomial] = set()
+    for g in ideal.gens:
+        pts |= {tuple(map(max, g, q)) for q in pts}
+        pts.add(g)
+    return sorted(pts)
 
 
 def product_is_zero(a: list[list[int]], b: list[list[int]]) -> bool:

@@ -1,16 +1,20 @@
 import io
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from koszul_reference import (
     GradedComplexSlice,
     dense_shape_homology,
     downward_closed_masks,
+    integer_rank,
     reference_mask,
+    tuple_lcm_multidegrees,
 )
 
 from stablebetti import (
@@ -20,14 +24,17 @@ from stablebetti import (
     MonomialSubmodule,
     borel_closure,
     bruteforce_realizability,
+    construct_ideal,
+    construct_module,
     corner_sequence,
+    coupled_chain,
     degree,
     ek_betti,
     enumerate_strongly_stable,
-    integer_rank,
     koszul_betti,
     lcm_multidegrees,
     parse_monomial,
+    validate_positions,
 )
 from stablebetti import oracle
 from stablebetti.betti import Corner
@@ -53,17 +60,32 @@ def _rational_rank(rows):
     return rank
 
 
+def _columns(rows):
+    """The sparse columns ({row: entry}) of a dense integer matrix."""
+    width = len(rows[0]) if rows else 0
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(width)]
+
+
+def _ranks(rows):
+    """The sparse rank, the Bareiss reference and the rational rank."""
+    return oracle._rank(_columns(rows)), integer_rank(rows), _rational_rank(rows)
+
+
 def test_integer_rank_fixed_cases():
-    assert integer_rank([]) == 0
-    assert integer_rank([[]]) == 0
-    assert integer_rank([[0, 0], [0, 0]]) == 0
-    assert integer_rank([[1, 0], [0, 1]]) == 2
-    assert integer_rank([[1, 2], [2, 4]]) == 1
-    assert integer_rank([[2, 3, 5], [7, 11, 13], [9, 14, 18]]) == 2  # row3 = row1 + row2
-    assert integer_rank([[2, 3, 5], [7, 11, 13], [9, 14, 19]]) == 3
-    # entries large enough to overflow fixed-width arithmetic
-    big = 10**40
-    assert integer_rank([[big, big], [big, big + 1]]) == 2
+    big = 10**40  # entries large enough to overflow fixed-width arithmetic
+    cases = [
+        ([], 0),
+        ([[]], 0),
+        ([[0, 0], [0, 0]], 0),
+        ([[1, 0], [0, 1]], 2),
+        ([[1, 2], [2, 4]], 1),
+        ([[2, 3, 5], [7, 11, 13], [9, 14, 18]], 2),  # row3 = row1 + row2
+        ([[2, 3, 5], [7, 11, 13], [9, 14, 19]], 3),
+        ([[2, 4], [6, 3]], 2),  # no unit entry: fraction-free updates only
+        ([[big, big], [big, big + 1]], 2),
+    ]
+    for rows, rank in cases:
+        assert _ranks(rows) == (rank, rank, rank), rows
 
 
 def test_integer_rank_matches_rational_elimination():
@@ -72,7 +94,77 @@ def test_integer_rank_matches_rational_elimination():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        assert integer_rank(m) == _rational_rank(m)
+        rank = _rational_rank(m)
+        assert _ranks(m) == (rank, rank, rank), m
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Up to 6 x 6 entries in -12..12, then up to 4 columns that are
+    integer combinations of the others, so that columns reduce to zero
+    against pivots that are not units."""
+    nrows = draw(st.integers(1, 6))
+    entries = st.integers(-12, 12)
+    cols = draw(st.lists(st.lists(entries, min_size=nrows, max_size=nrows), max_size=6))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols))
+    for combo in draw(st.lists(coeffs, max_size=4 if cols else 0)):
+        cols.append([sum(f * col[r] for f, col in zip(combo, cols)) for r in range(nrows)])
+    return [[col[r] for col in cols] for r in range(nrows)] if cols else []
+
+
+@settings(deadline=None, max_examples=300)
+@given(_integer_matrices())
+def test_sparse_rank_matches_bareiss_and_rational_ranks(rows):
+    rank = _rational_rank(rows)
+    assert _ranks(rows) == (rank, rank, rank)
+
+
+def _down_closure(p, tops):
+    """The mask of every subset of the given subsets of a p-set."""
+    mask = 0
+    for top in tops:
+        s = top
+        while True:
+            mask |= 1 << s
+            if not s:
+                break
+            s = (s - 1) & top
+    return mask
+
+
+def test_rank_over_q_on_the_projective_plane(monkeypatch):
+    # The 6-vertex triangulation of RP^2: its integral homology has
+    # 2-torsion, which the rank over Q must not see; its rational
+    # homology is that of a point, so every block dimension is 0.
+    triangles = [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+    ]
+    tops = [sum(1 << v for v in t) for t in triangles]
+    mask = _down_closure(6, tops)
+    monkeypatch.setattr(oracle, "_shape_homology_cache", {})
+    assert oracle._shape_homology(6, mask) == (0,) * 7
+    assert dense_shape_homology(6, mask) == (0,) * 7
+    # The boundary of all triangles together is twice a cycle, so a column
+    # holding it meets a pivot of 2 and takes the fraction-free update.
+    gcds = []
+
+    def counting_gcd(*args):
+        gcds.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(oracle, "gcd", counting_gcd)
+    cols = [dict(oracle._faces(top)) for top in tops]
+    total = {}
+    for col in cols:
+        for r, v in col.items():
+            total[r] = total.get(r, 0) + v
+    total = {r: v for r, v in total.items() if v}
+    assert set(map(abs, total.values())) == {2}
+    assert oracle._rank(cols) == 10
+    assert not gcds
+    assert oracle._rank(cols + [total]) == 10
+    assert gcds
 
 
 def test_koszul_matches_generator_formula_on_small_census():
@@ -128,6 +220,35 @@ def test_koszul_tables_of_a_stable_and_a_non_stable_ideal():
 def test_lcm_multidegrees_by_hand():
     ideal = MonomialIdeal.from_strings(2, ["x1^2", "x2^2"])
     assert lcm_multidegrees(ideal) == [(0, 2), (2, 0), (2, 2)]
+    edges = [
+        (1, [(5,)]),  # n = 1
+        (3, [(0, 0, 0)]),  # the unit ideal: fields of width 1
+        (3, [(2, 1, 0)]),  # a single generator
+        (2, [(1, 0), (0, 1)]),  # top exponent 1
+        (2, [(3, 0), (0, 3), (1, 2)]),  # 2^k - 1: the widest value a field holds
+        (2, [(4, 0), (0, 4), (1, 3)]),  # 2^k: one bit wider
+        (3, [(15, 0, 0), (0, 16, 0), (8, 7, 1), (0, 0, 15)]),
+    ]
+    for n, gens in edges:
+        ideal = MonomialIdeal.from_generators(n, gens)
+        assert lcm_multidegrees(ideal) == tuple_lcm_multidegrees(ideal), gens
+
+
+@st.composite
+def _edge_exponent_sets(draw):
+    """n <= 5 and 1..7 monomials whose exponents sit at field-width edges."""
+    n = draw(st.integers(1, 5))
+    exponent = st.sampled_from([0, 0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32])
+    monos = draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=7))
+    return n, monos
+
+
+@settings(deadline=None, max_examples=300)
+@given(_edge_exponent_sets())
+def test_packed_lcm_lattice_equals_the_tuple_lattice(case):
+    n, monos = case
+    ideal = MonomialIdeal.from_generators(n, monos)
+    assert lcm_multidegrees(ideal) == tuple_lcm_multidegrees(ideal)
 
 
 def test_dense_slice_cross_check():
@@ -315,3 +436,74 @@ def test_bruteforce_module_path():
     module = res.witness
     assert module.m == 2
     assert corner_sequence(ek_betti(module)) == [(Corner(1, 2), 2)]
+
+
+def test_bruteforce_module_search_states_its_own_limits():
+    # the m > 1 search runs the census itself, so it refuses with its own
+    # limits rather than the census's advice to pass allow_large=True
+    for s, got in [
+        (_spec(4, [(2, 7)], [1]), "n=4, last corner degree 7"),
+        (_spec(6, [(2, 3)], [1]), "n=6, last corner degree 3"),
+    ]:
+        with pytest.raises(BudgetExceeded) as err:
+            bruteforce_realizability(s, m=2)
+        assert str(err.value) == (
+            "the module brute force scans the census up to the last corner "
+            "degree and runs for n <= 5 and last corner degree <= 6 only, "
+            f"got {got}"
+        )
+
+
+@st.composite
+def _positions(draw, max_n):
+    """Admissible corner positions with n <= max_n, r <= 4 and first
+    degree 2..4, values 1."""
+    n = draw(st.integers(2, max_n))
+    r = draw(st.integers(1, min(4, n - 1)))
+    ks = sorted(draw(st.sets(st.integers(1, n - 1), min_size=r, max_size=r)))
+    first = draw(st.integers(2, 4))
+    steps = draw(st.lists(st.integers(1, 2), min_size=r - 1, max_size=r - 1))
+    ells = itertools.accumulate([first] + steps)
+    pos = _spec(n, zip(reversed(ks), ells), [1] * r)
+    assume(validate_positions(pos).admissible)
+    return pos
+
+
+def _coupled_values(data, pos):
+    """Values up to 3, each within the coupled cap that the earlier values
+    leave it: feasible by construction, and small enough that each
+    witness's Koszul table takes well under a second."""
+    values = []
+    for _ in range(pos.r):
+        caps = coupled_chain(pos, values)[0]
+        values.append(data.draw(st.integers(1, min(3, caps[-1]))))
+    return tuple(values)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_positions(9), st.data())
+def test_koszul_confirms_every_ideal_witness(pos, data):
+    realization = construct_ideal(CornerSpec(pos.n, pos.corners, _coupled_values(data, pos)))
+    assert koszul_betti(realization.ideal) == realization.table
+
+
+@settings(deadline=None, max_examples=60)
+@given(_positions(6), st.integers(1, 3), st.data())
+def test_koszul_confirms_every_module_witness(pos, m, data):
+    patterns = [
+        rows
+        for bits in range(1, 1 << pos.r)
+        for rows in [tuple(i for i in range(pos.r) if bits >> i & 1)]
+        if validate_positions(pos.sub_spec(rows)).admissible
+    ]
+    matrix = [[0] * m for _ in range(pos.r)]
+    for h in range(m):
+        rows = data.draw(st.sampled_from([()] + patterns))  # () is a filler
+        if rows:
+            values = _coupled_values(data, pos.sub_spec(rows))
+            for i, v in zip(rows, values):
+                matrix[i][h] = v
+    totals = tuple(map(sum, matrix))
+    assume(all(totals))
+    realization = construct_module(CornerSpec(pos.n, pos.corners, totals), matrix)
+    assert koszul_betti(realization.module) == realization.table
