@@ -15,6 +15,7 @@ single JSON object on stderr. Exit codes sort failures by kind:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,6 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="stablebetti",
@@ -253,6 +255,8 @@ def _exit_code(exc: BaseException) -> int:
 
 
 def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
+    """Run one command line and return its exit code. It may be called
+    repeatedly in one process: all calls share one parser, never mutated."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr

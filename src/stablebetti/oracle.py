@@ -286,6 +286,8 @@ def enumerate_strongly_stable(
         raise BadRange(f"need n >= 1, got {n}")
     if max_degree < 1:
         raise BadRange(f"need max_degree >= 1, got {max_degree}")
+    if max_gens is not None and max_gens < 1:
+        raise BadRange(f"need max_gens >= 1, got {max_gens}")
     if not allow_large and (n > 5 or max_degree > 6):
         raise BudgetExceeded(
             f"census guard rails allow n <= 5 and max_degree <= 6, got "

@@ -12,14 +12,28 @@ from stablebetti import (
     UncoveredByCharacterization,
     VerificationFailed,
     __version__,
+    borel_closure,
     cli,
     enumerate_strongly_stable,
     realize_module,
 )
-from stablebetti.cli import _exit_code, run
+from stablebetti import errors
+from stablebetti.cli import _exit_code, _UsageError, run
+from stablebetti.monomials import format_monomial
+from test_cli_snapshot import CASES, EXPECTED, _snapshot
 
 STABLE3 = json.dumps({"n": 3, "generators": ["x1^2", "x1*x2", "x1*x3"]})
 UNSTABLE = json.dumps({"n": 3, "generators": ["x2^2"]})
+# every subcommand but census, which reads no document
+_READERS = (
+    "betti",
+    "corners",
+    "check-stable",
+    "diagram",
+    "oracle-betti",
+    "realize-ideal",
+    "realize-module",
+)
 SPEC3 = {
     "n": 6,
     "corners": [
@@ -43,8 +57,20 @@ def test_version_flag():
 
 
 def test_help_exits_zero(capsys):
-    assert invoke(["--help"])[0] == 0
-    capsys.readouterr()  # argparse prints help to the real stdout
+    # argparse prints help to the real stdout; with one shared parser the
+    # texts must not depend on which help was asked for first
+    argvs = [["--help"]] + [[command, "--help"] for command in (*_READERS, "census")]
+
+    def helps(order):
+        texts = {}
+        for argv in order:
+            assert invoke(argv)[0] == 0
+            texts[argv[0]] = capsys.readouterr().out
+        return texts
+
+    forward = helps(argvs)
+    assert helps(reversed(argvs)) == forward
+    assert all(text.startswith("usage: stablebetti") for text in forward.values())
 
 
 def test_no_command_is_usage_error():
@@ -272,13 +298,8 @@ def test_exit_code_mapping():
     assert _exit_code(SpecError("x")) == 1
 
 
-_JSON_LEAF = (
-    st.none()
-    | st.booleans()
-    | st.integers(-8, 8)
-    | st.just(1.5)
-    | st.sampled_from(["", "k", "ab"])
-)
+_ODD_LEAF = st.none() | st.booleans() | st.just(1.5) | st.sampled_from(["", "k", "ab"])
+_JSON_LEAF = _ODD_LEAF | st.integers(-8, 8)
 _JSON = st.recursive(
     _JSON_LEAF,
     lambda inner: st.lists(inner, max_size=4)
@@ -314,3 +335,139 @@ def test_any_corners_document_gets_a_typed_answer(n, corners):
             "error": "SpecError",
             "message": 'every corner needs keys "k", "l" and "a"',
         }
+
+
+def test_parser_is_built_at_most_once_per_process(monkeypatch):
+    # each subcommand parser is a _Parser too; the top-level one marks a build
+    builds = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv, doc in [
+        (["betti"], STABLE3),
+        (["diagram"], STABLE3),
+        (["check-stable"], UNSTABLE),
+        (["census", "-n", "2", "-d", "2"], ""),
+        (["frobnicate"], ""),
+        ([], ""),
+        (["realize-ideal"], json.dumps(SPEC3)),
+    ]:
+        invoke(argv, doc)
+    assert builds.count("stablebetti") <= 1
+
+
+def test_no_state_leaks_between_calls():
+    assert invoke(["realize-module", "--m", "3"], json.dumps(SPEC3))[0] == 0
+    code, out, err = invoke(["realize-module"], json.dumps(SPEC3))
+    assert (code, out) == (1, "")
+    assert "realize-module needs a component count" in json.loads(err)["message"]
+    # a --mode given once does not become the default of the next call
+    doc = json.dumps(
+        {"n": 6, "corners": [{"k": 3, "l": 3, "a": 4}, {"k": 2, "l": 5, "a": 2}]}
+    )
+    assert invoke(["realize-ideal", "--mode", "strict-paper"], doc)[0] == 2
+    code, out, _err = invoke(["realize-ideal"], doc)
+    assert code == 0 and json.loads(out)["mode"] == "coupled"
+
+
+def test_snapshot_in_reverse_order_in_one_process():
+    for name in reversed(list(CASES)):
+        assert _snapshot(*CASES[name]) == EXPECTED[name], name
+
+
+def _mostly(good, junk):
+    # good four times in five, so that most documents pass the first checks
+    return st.integers(0, 4).flatmap(lambda r: good if r else junk)
+
+
+# documents of the shapes the commands read, every number in 0..6
+_SMALL = _mostly(st.integers(0, 6), _ODD_LEAF)
+_MONOMIAL = _mostly(
+    st.lists(st.integers(0, 6), min_size=1, max_size=6).map(format_monomial),
+    st.sampled_from(["1", "x0", "x7", "x1^-1", "x1*x1", "y2", ""]) | _JSON_LEAF,
+)
+
+
+@st.composite
+def _stable_ideal(draw):
+    n = draw(st.integers(1, 4))
+    seeds = draw(
+        st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+    return {"n": n, "generators": [format_monomial(g) for g in borel_closure(n, seeds).gens]}
+
+
+@st.composite
+def _well_formed_spec(draw):
+    # positions decrease within 1..n-2 and degrees increase from 2
+    n = draw(st.integers(3, 6))
+    r = draw(st.integers(1, min(3, n - 2)))
+    ks = draw(st.lists(st.integers(1, n - 2), min_size=r, max_size=r, unique=True))
+    ls = draw(st.lists(st.integers(2, 6), min_size=r, max_size=r, unique=True))
+    corners = [
+        {"k": k, "l": l, "a": draw(st.integers(1, 3))}
+        for k, l in zip(sorted(ks, reverse=True), sorted(ls))
+    ]
+    return {"n": n, "m": draw(st.integers(1, 3)), "corners": corners}
+
+
+_IDEAL = _stable_ideal() | st.fixed_dictionaries(
+    {"n": _SMALL, "generators": _mostly(st.lists(_MONOMIAL, max_size=4), _JSON)}
+)
+_MODULE = st.fixed_dictionaries(
+    {"n": _SMALL, "components": _mostly(st.lists(_IDEAL, min_size=1, max_size=3), _JSON)},
+    optional={"shifts": _mostly(st.lists(_SMALL, max_size=3), _JSON), "m": _SMALL},
+)
+_SPEC = _well_formed_spec() | st.fixed_dictionaries(
+    {
+        "n": _SMALL,
+        "corners": _mostly(
+            st.lists(
+                st.fixed_dictionaries({"k": _SMALL, "l": _SMALL, "a": _SMALL}),
+                min_size=1,
+                max_size=3,
+            ),
+            _JSON,
+        ),
+    },
+    optional={
+        "m": _SMALL,
+        "mode": st.sampled_from(["coupled", "strict-paper", "paper"]) | _JSON_LEAF,
+    },
+)
+_ERROR_CLASSES = {
+    cls.__name__: cls
+    for cls in (*vars(errors).values(), _UsageError)
+    if isinstance(cls, type) and issubclass(cls, Exception)
+}
+
+
+def _expected_exit(payload) -> int:
+    # _exit_code reads the class and, for InfeasibleSpec, the budget flag
+    cls = _ERROR_CLASSES[payload["error"]]
+    if cls is InfeasibleSpec:
+        exhausted = "budget exhausted" in payload["message"]
+        return _exit_code(InfeasibleSpec(payload["message"], exhausted_budget=exhausted))
+    return _exit_code(cls.__new__(cls))
+
+
+@settings(deadline=None, max_examples=400)
+@given(command=st.sampled_from(_READERS), data=st.data())
+def test_every_reading_command_gives_a_typed_answer(command, data):
+    # run never raises; a failure prints nothing on stdout and exactly one
+    # JSON object on stderr, and its exit code is the one its class maps to
+    shapes = _SPEC if command.startswith("realize") else _IDEAL | _MODULE
+    doc = data.draw(_mostly(shapes, _JSON | _IDEAL | _MODULE | _SPEC))
+    code, out, err = invoke([command], json.dumps(doc))
+    if code == 0:
+        assert err == "" and out
+        return
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert code == _expected_exit(payload)

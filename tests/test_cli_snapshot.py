@@ -9,6 +9,8 @@ check-stable, six mistyped JSON fields) were added when those inputs
 stopped crashing or being coerced, and the five malformed "corners"
 containers after them when those got fixed messages, and the last case
 (oracle-betti with the removed --degree-cap flag) when the flag went.
+The case census_max_gens (a cap of 0, which used to print nothing and exit
+0) was added when census started refusing caps below 1.
 Any change to what a subcommand prints shows up here as a digest
 mismatch.
 """
@@ -135,6 +137,8 @@ BAD_INPUTS = {
     ),
     # oracle-betti takes no degree cap: the flag is a usage error
     "degree_cap": (["oracle-betti", "--degree-cap", "4"], DOCUMENTS["chain_small"]),
+    # a generator cap below 1 is refused, not answered with an empty census
+    "census_max_gens": (["census", "-n", "2", "-d", "2", "--max-gens", "0"], ""),
 }
 
 
@@ -476,6 +480,12 @@ EXPECTED = {
         1,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '{"error": "_UsageError", "message": "stablebetti: unrecognized arguments: --degree-cap 4"}\n',
+    ),
+    # recorded when census started refusing a generator cap below 1
+    'bad census_max_gens': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "BadRange", "message": "need max_gens >= 1, got 0"}\n',
     ),
 }
 

@@ -18,6 +18,7 @@ from koszul_reference import (
 )
 
 from stablebetti import (
+    BadRange,
     BudgetExceeded,
     CornerSpec,
     MonomialIdeal,
@@ -375,6 +376,8 @@ def test_census_max_gens_filter():
     assert all(len(i.gens) <= 2 for i in capped)
     full = [i for i in enumerate_strongly_stable(3, 3) if len(i.gens) <= 2]
     assert {i.to_json() for i in capped} == {i.to_json() for i in full}
+    with pytest.raises(BadRange, match="need max_gens >= 1, got 0"):
+        list(enumerate_strongly_stable(3, 3, max_gens=0))
 
 
 def test_census_guard_rails_and_budget():
