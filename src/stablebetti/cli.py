@@ -32,6 +32,7 @@ from .errors import (
     StableBettiError,
     UncoveredByCharacterization,
     VerificationFailed,
+    json_document,
 )
 from .ideals import parse_module_or_ideal
 from .monomials import format_monomial
@@ -127,10 +128,17 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(path: str, stdin) -> str:
-    if path == "-":
-        return stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # reported as malformed JSON, at the first character that fails
+        good = exc.object[: exc.start].decode(exc.encoding, "replace")
+        raise json.JSONDecodeError(
+            f"input is not valid {exc.encoding}", good, len(good)
+        ) from None
 
 
 def _dump(obj: dict, stdout) -> None:
@@ -206,7 +214,7 @@ def _cmd_oracle_betti(args, stdout, stdin) -> int:
 
 
 def _spec_and_mode(args, stdin) -> tuple[CornerSpec, str, dict]:
-    obj = json.loads(_read_input(args.input, stdin))
+    obj = json_document(_read_input(args.input, stdin))
     spec = CornerSpec.from_obj(obj)
     mode = args.mode or (obj.get("mode") if isinstance(obj, dict) else None)
     return spec, _check_mode(mode or MODE_COUPLED), obj

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 
 class StableBettiError(Exception):
     """Base class for all package errors."""
@@ -13,6 +15,16 @@ def json_int(value, what: str, error: type[StableBettiError]) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def json_document(text: str):
+    """json.loads(text), except that a document nested deeper than the
+    parser can follow raises json.JSONDecodeError like any other malformed
+    document, not RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("document nested too deeply", text, 0) from None
 
 
 class MonomialSyntaxError(StableBettiError):

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import BadRange, EmptyIdeal, MonomialSyntaxError, json_int
+from .errors import BadRange, EmptyIdeal, MonomialSyntaxError, json_document, json_int
 from .monomials import (
     Monomial,
     Packing,
@@ -92,7 +92,7 @@ class MonomialIdeal:
         return not self.gens
 
     @cached_property
-    def _packed(self) -> tuple[Packing, int, tuple[int, ...]]:
+    def packed(self) -> tuple[Packing, int, tuple[int, ...]]:
         """The generators' packing, its largest exponent, and the packed
         generators (computed once: the dataclass is frozen)."""
         top = max(map(max, self.gens), default=0)
@@ -104,7 +104,7 @@ class MonomialIdeal:
             raise BadRange("monomial lives in a different ring")
         if min(u) < 0:
             return False
-        pk, top, packed = self._packed
+        pk, top, packed = self.packed
         guards = pk.guards
         # clamping to the largest generator exponent keeps every field
         # below its guard bit and does not change divisibility
@@ -124,7 +124,7 @@ class MonomialIdeal:
         """
         if self.is_zero:
             return (None, 0, 0, None)
-        pk, top, packed = self._packed
+        pk, top, packed = self.packed
         guards = pk.guards
         bits = [1 << s for s in pk.shifts]
         members = set(packed)
@@ -288,7 +288,7 @@ class MonomialSubmodule:
 
 def parse_module_or_ideal(text: str) -> MonomialSubmodule:
     """Accept either an ideal document or a module document."""
-    obj = json.loads(text)
+    obj = json_document(text)
     if isinstance(obj, dict) and "components" in obj:
         return MonomialSubmodule.from_obj(obj)
     return MonomialSubmodule.of_ideal(MonomialIdeal.from_obj(obj))

@@ -34,7 +34,6 @@ from .monomials import (
     iter_degree,
     max_index,
     mul_var,
-    packing,
 )
 from .segments import stratum, stratum_size
 
@@ -132,16 +131,15 @@ def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
 def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
     """All least common multiples of non-empty generator subsets, sorted.
 
-    Generators are packed (monomials.packing) with x1 in the top field, so
-    integer order is tuple order, and an lcm is a field-wise max: the guard
-    bits of ge mark the fields where q >= g, and keep widens them to whole
-    fields, taken from q there and from g elsewhere.
+    On the ideal's packed generators (MonomialIdeal.packed) an lcm is a
+    field-wise max: the guard bits of ge mark the fields where q >= g, and
+    keep widens them to whole fields, taken from q there and from g
+    elsewhere. The points are unpacked and sorted as tuples.
     """
-    pk = packing(ideal.n, max(map(max, ideal.gens)))
+    pk, _top, packed = ideal.packed
     guards, shift = pk.guards, pk.width - 1
     pts: set[int] = set()
-    for g in ideal.gens:
-        g = pk.pack(g[::-1])
+    for g in packed:
         pts |= {
             q & keep | g & ~keep
             for q in pts
@@ -150,8 +148,7 @@ def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
         }
         pts.add(g)
     field = (1 << shift) - 1
-    top = pk.shifts[::-1]
-    return [tuple(q >> s & field for s in top) for q in sorted(pts)]
+    return sorted(tuple(q >> s & field for s in pk.shifts) for q in pts)
 
 
 # Down-set tables keyed by (support guards, free guards), as built in
@@ -195,13 +192,12 @@ def _point_masks(ideal: MonomialIdeal):
     a, so one pass over the generators replaces a membership test per
     subset; no stability is assumed.
 
-    Monomials are packed into integers (monomials.packing), so a
-    field-wise comparison of all variables is one subtraction: the guard
-    bit of a field survives (a | guards) - g exactly when a_t >= g_t.
+    Each point is packed as the ideal's generators are (MonomialIdeal.packed),
+    so a field-wise comparison of all variables is one subtraction: the
+    guard bit of a field survives (a | guards) - g exactly when a_t >= g_t.
     """
-    pk = packing(ideal.n, max(map(max, ideal.gens)))
+    pk, _top, packed = ideal.packed
     lows, guards = pk.lows, pk.guards
-    packed = [pk.pack(g) for g in ideal.gens]
     for a in lcm_multidegrees(ideal):
         top = pk.pack(a) | guards
         supp_guards = (top - lows) & guards

@@ -16,7 +16,8 @@ Nothing is listed to get there. A window is the peak stratum from its top
 down to an explicit bottom monomial, and a shadow is everything lex above
 an explicit floor, so each cap is a difference of two lex ranks, each
 pick is an unrank, and each block of generators is a run of consecutive
-ranks (segments.lex_count, segments.lex_unrank).
+ranks (segments.lex_count, segments.lex_unrank). Each spec builds its
+windows once and keeps them, for its bounds, verdicts, chain and blocks.
 
 Constructors verify their own output (strong stability, exact corner
 sequence, generators confined to the corner degrees) before returning.
@@ -25,6 +26,7 @@ sequence, generators confined to the corner degrees) before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .betti import BettiTable, Corner, corner_sequence, ek_betti
 from .errors import (
@@ -91,6 +93,22 @@ class CornerSpec:
     @property
     def r(self) -> int:
         return len(self.corners)
+
+    @cached_property
+    def _window_extents(self) -> tuple[tuple[Monomial, int], ...]:
+        """Per corner, the window A_i as (bottom, size): the peak-stratum
+        members from the top down to the corner's least admissible one.
+        An uncovered spec raises on every use (nothing is cached then)."""
+        _require_admissible(self)
+        t = _tail_index(self)
+        out = []
+        for i, c in enumerate(self.corners):
+            bottom = _corner_bottom(self, i, t)
+            size = stratum_rank(bottom, c.k)
+            if not size:
+                raise AssertionError("corner window came out empty")
+            out.append((bottom, size))
+        return tuple(out)
 
     def sub_spec(self, rows, values=None) -> "CornerSpec":
         """The spec restricted to a subsequence of corner rows (0-based)."""
@@ -248,54 +266,11 @@ class BoundReport:
         return {"t": self.t, "windows": [w.to_obj() for w in self.windows]}
 
 
-def _windows(spec: CornerSpec) -> list[tuple[Monomial, int]]:
-    """Per corner, the window A_i as (bottom, size): the peak-stratum
-    members from the top down to the corner's least admissible one."""
-    _require_admissible(spec)
-    t = _tail_index(spec)
-    out = []
-    for i, c in enumerate(spec.corners):
-        bottom = _corner_bottom(spec, i, t)
-        size = stratum_rank(bottom, c.k)
-        if not size:
-            raise AssertionError("corner window came out empty")
-        out.append((bottom, size))
-    return out
-
-
 def _shadow_floor(spec: CornerSpec, i: int, prev: Monomial) -> Monomial:
     """Bottom of the lex shadow in corner i's degree (i >= 1) of the initial
     segment down to prev: everything >= prev * x_n^(l_i - l_{i-1}). The
     window members outside the shadow are those ranked past the floor."""
     return mul_var(prev, spec.n, spec.corners[i].ell - spec.corners[i - 1].ell)
-
-
-def _strict_report(spec: CornerSpec, windows) -> BoundReport:
-    """Caps when each shadow starts at the previous window's bottom."""
-    out = []
-    for i, c in enumerate(spec.corners):
-        floor = _shadow_floor(spec, i, windows[i - 1][0]) if i else None
-        shaded = stratum_rank(floor, c.k) if i else 0
-        bottom, size = windows[i]
-        out.append(CornerWindow(c, bottom, size, floor, max(0, size - shaded)))
-    return BoundReport(spec, _tail_index(spec), out)
-
-
-def _coupled_walk(
-    spec: CornerSpec, windows, values
-) -> tuple[list[int], list[Monomial], int | None]:
-    """Caps and picks when each shadow starts at the previous pick."""
-    bounds: list[int] = []
-    picks: list[Monomial] = []
-    for i, c in enumerate(spec.corners):
-        shaded = stratum_rank(_shadow_floor(spec, i, picks[i - 1]), c.k) if i else 0
-        bounds.append(max(0, windows[i][1] - shaded))
-        if i >= len(values):
-            break
-        if values[i] > bounds[i]:
-            return bounds, picks, i
-        picks.append(stratum_member(spec.n, c.k, c.ell, shaded + values[i]))
-    return bounds, picks, None
 
 
 def compute_bounds(spec: CornerSpec) -> BoundReport:
@@ -304,7 +279,12 @@ def compute_bounds(spec: CornerSpec) -> BoundReport:
     b_1 counts the first window whole; later windows lose the iterated
     shadow of the entire previous window before counting.
     """
-    return _strict_report(spec, _windows(spec))
+    out = []
+    for i, (c, (bottom, size)) in enumerate(zip(spec.corners, spec._window_extents)):
+        floor = _shadow_floor(spec, i, out[i - 1].bottom) if i else None
+        shaded = stratum_rank(floor, c.k) if i else 0
+        out.append(CornerWindow(c, bottom, size, floor, max(0, size - shaded)))
+    return BoundReport(spec, _tail_index(spec), out)
 
 
 def coupled_chain(
@@ -320,7 +300,18 @@ def coupled_chain(
     None. When values is a proper prefix, bounds carries one extra entry:
     the cap for the next position.
     """
-    return _coupled_walk(spec, _windows(spec), values)
+    windows = spec._window_extents
+    bounds: list[int] = []
+    picks: list[Monomial] = []
+    for i, c in enumerate(spec.corners):
+        shaded = stratum_rank(_shadow_floor(spec, i, picks[i - 1]), c.k) if i else 0
+        bounds.append(max(0, windows[i][1] - shaded))
+        if i >= len(values):
+            break
+        if values[i] > bounds[i]:
+            return bounds, picks, i
+        picks.append(stratum_member(spec.n, c.k, c.ell, shaded + values[i]))
+    return bounds, picks, None
 
 
 @dataclass(frozen=True)
@@ -358,10 +349,9 @@ def _verdict(spec: CornerSpec, mode: str, bounds) -> ValueVerdict:
 def check_values(spec: CornerSpec, mode: str = MODE_COUPLED) -> ValueVerdict:
     """Judge the requested values against the chosen mode's caps."""
     _check_mode(mode)
-    windows = _windows(spec)
     if mode == MODE_STRICT:
-        return _verdict(spec, mode, _strict_report(spec, windows).bounds)
-    return _verdict(spec, mode, _coupled_walk(spec, windows, spec.values)[0])
+        return _verdict(spec, mode, compute_bounds(spec).bounds)
+    return _verdict(spec, mode, coupled_chain(spec, spec.values)[0])
 
 
 @dataclass(frozen=True)
@@ -434,9 +424,8 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
     corner degrees; a mismatch raises VerificationFailed.
     """
     _check_mode(mode)
-    windows = _windows(spec)
-    report = _strict_report(spec, windows)
-    bounds, picks, violation = _coupled_walk(spec, windows, spec.values)
+    report = compute_bounds(spec)
+    bounds, picks, violation = coupled_chain(spec, spec.values)
     strict_verdict = _verdict(spec, MODE_STRICT, report.bounds)
     coupled_verdict = _verdict(spec, MODE_COUPLED, bounds)
     verdict = strict_verdict if mode == MODE_STRICT else coupled_verdict

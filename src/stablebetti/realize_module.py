@@ -40,11 +40,10 @@ from .realize_ideal import (
     PositionVerdict,
     _check_mode,
     _corner_text,
-    _coupled_walk,
-    _strict_report,
-    _windows,
     check_values,
+    compute_bounds,
     construct_ideal,
+    coupled_chain,
     validate_positions,
 )
 from .segments import stratum_size
@@ -75,21 +74,21 @@ def validate_module_spec(spec: CornerSpec, m: int) -> PositionVerdict:
 
 
 def _admissible_patterns(spec: CornerSpec):
-    """Bitmask-ordered candidate patterns with their sub-specs and windows.
+    """Bitmask-ordered candidate patterns with their sub-specs.
 
     Patterns whose sub-spec fails position screening are skipped; each
-    remaining pattern's windows are built here, once per search.
+    sub-spec, and so the windows it keeps, lasts the whole search.
     """
     r = spec.r
     out = []
     for bits in range((1 << r) - 1, -1, -1):
         rows = tuple(i for i in range(r) if bits >> (r - 1 - i) & 1)
         if not rows:
-            out.append((rows, None, None))
+            out.append((rows, None))
             continue
         sub = spec.sub_spec(rows, values=tuple(1 for _ in rows))
         if validate_positions(sub).admissible:
-            out.append((rows, sub, _windows(sub)))
+            out.append((rows, sub))
     return out
 
 
@@ -116,7 +115,8 @@ def find_corner_matrix(
     """First matrix splitting the corner values across m components.
 
     Raises InfeasibleSpec when the search space is exhausted (or, with
-    exhausted_budget set, when the node budget ran out first).
+    exhausted_budget set, when the node budget ran out first or the
+    search nested past the interpreter's recursion limit).
     """
     _check_mode(mode)
     verdict = validate_module_spec(spec, m)
@@ -127,7 +127,7 @@ def find_corner_matrix(
     r = spec.r
     patterns = _admissible_patterns(spec)
     strict_caps = (
-        {rows: _strict_report(sub, ws).bounds for rows, sub, ws in patterns if rows}
+        {rows: compute_bounds(sub).bounds for rows, sub in patterns if rows}
         if mode == MODE_STRICT
         else {}
     )
@@ -146,7 +146,7 @@ def find_corner_matrix(
     columns: list[tuple[int, ...]] = []
     found: list[CornerMatrix] = []
 
-    def fill_column(rows, sub, windows, pos: int, entries: list[int]) -> bool:
+    def fill_column(rows, sub, pos: int, entries: list[int]) -> bool:
         spend()
         if pos == len(rows):
             column = [0] * r
@@ -160,7 +160,7 @@ def find_corner_matrix(
                 rem[i] += entries[t]
             return ok
         if mode == MODE_COUPLED:
-            bounds, _picks, violation = _coupled_walk(sub, windows, entries)
+            bounds, _picks, violation = coupled_chain(sub, entries)
             cap = 0 if violation is not None else bounds[-1]
         else:
             cap = strict_caps[rows][pos]
@@ -172,26 +172,31 @@ def find_corner_matrix(
         floor = max(1, rem[i] - cols_after * single_cap[i])
         for v in range(cap, floor - 1, -1):
             entries.append(v)
-            if fill_column(rows, sub, windows, pos + 1, entries):
+            if fill_column(rows, sub, pos + 1, entries):
                 return True
             entries.pop()
         return False
 
     def place(h: int) -> bool:
         spend()
-        if h == m:
-            if all(v == 0 for v in rem):
-                found.append(
-                    tuple(tuple(col[i] for col in columns) for i in range(r))
+        if not any(rem):
+            # the recursion would fill every column left with zeros; do it
+            # here, without one nested call per column
+            found.append(
+                tuple(
+                    tuple(col[i] for col in columns) + (0,) * (m - h)
+                    for i in range(r)
                 )
-                return True
+            )
+            return True
+        if h == m:
             return False
         cols_left = m - h
         if any(
             rem[i] > cols_left * single_cap[i] or rem[i] < 0 for i in range(r)
         ):
             return False
-        for rows, sub, windows in patterns:
+        for rows, sub in patterns:
             if rows and any(rem[i] == 0 for i in rows):
                 continue
             # rows this column skips must be coverable by the columns after it
@@ -206,11 +211,20 @@ def find_corner_matrix(
                 if place(h + 1):
                     return True
                 columns.pop()
-            elif fill_column(rows, sub, windows, 0, []):
+            elif fill_column(rows, sub, 0, []):
                 return True
         return False
 
-    if place(0):
+    try:
+        placed = place(0)
+    except RecursionError:
+        # nesting grows with m and the values; past the interpreter's
+        # limit the search gives up as it does on an exhausted budget
+        raise InfeasibleSpec(
+            "corner matrix search nested too deeply; " + _tightest_row(spec, m),
+            exhausted_budget=True,
+        ) from None
+    if placed:
         return found[0]
     raise InfeasibleSpec(
         "no corner matrix exists for this spec; " + _tightest_row(spec, m)

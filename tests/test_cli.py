@@ -117,6 +117,30 @@ def test_garbage_json():
     assert json.loads(err)["error"] == "JSONDecodeError"
 
 
+def test_input_file_that_is_not_utf8_is_malformed_json(tmp_path):
+    doc = tmp_path / "ideal.json"
+    doc.write_bytes(b'{"n": 2, \xff "generators": ["x1"]}')
+    for command in _READERS:
+        code, out, err = invoke([command, "-i", str(doc)])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "JSONDecodeError",
+            "message": "input is not valid utf-8: line 1 column 10 (char 9)",
+        }
+
+
+def test_json_nested_past_the_parser_is_malformed_json():
+    for command in _READERS:
+        code, out, err = invoke([command], "[" * 100_000)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "JSONDecodeError",
+            "message": "document nested too deeply: line 1 column 1 (char 0)",
+        }
+
+
 def test_error_payload_shape():
     _code, _out, err = invoke(["betti"], UNSTABLE)
     payload = json.loads(err)
@@ -258,6 +282,24 @@ def test_exhausted_search_budget_exits_1(monkeypatch):
     payload = json.loads(err)
     assert payload["error"] == "InfeasibleSpec"
     assert "budget exhausted" in payload["message"]
+
+
+def test_deep_corner_matrix_searches_return():
+    # a search nests one call per column and per filled cell; a tail of
+    # empty columns is filled without nesting, and a search still too deep
+    # for the interpreter is refused like an exhausted budget
+    one = {"n": 4, "m": 990, "corners": [{"k": 2, "l": 2, "a": 1}]}
+    code, out, err = invoke(["realize-module"], json.dumps(one))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["matrix"] == [[1] + [0] * 989]
+    assert payload["fillers"] == list(range(2, 991))
+    full = {"n": 4, "m": 400, "corners": [{"k": 2, "l": 2, "a": 1200}]}
+    code, out, err = invoke(["realize-module"], json.dumps(full))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "InfeasibleSpec"
+    assert "nested too deeply" in payload["message"]
 
 
 def test_realize_module_filler_columns():

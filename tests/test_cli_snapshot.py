@@ -11,6 +11,9 @@ containers after them when those got fixed messages, and the last case
 (oracle-betti with the removed --degree-cap flag) when the flag went.
 The case census_max_gens (a cap of 0, which used to print nothing and exit
 0) was added when census started refusing caps below 1.
+The cases "realize-module m990" (989 filler columns), deep_search (a
+search nested too deeply) and deep_json (nesting past the parser) were
+added when those three stopped ending in a RecursionError traceback.
 Any change to what a subcommand prints shows up here as a digest
 mismatch.
 """
@@ -139,6 +142,13 @@ BAD_INPUTS = {
     "degree_cap": (["oracle-betti", "--degree-cap", "4"], DOCUMENTS["chain_small"]),
     # a generator cap below 1 is refused, not answered with an empty census
     "census_max_gens": (["census", "-n", "2", "-d", "2", "--max-gens", "0"], ""),
+    # a search too deep for the interpreter is refused like a spent budget
+    "deep_search": (
+        ["realize-module"],
+        json.dumps({"n": 4, "m": 400, "corners": [{"k": 2, "l": 2, "a": 1200}]}),
+    ),
+    # nesting past the parser is malformed JSON
+    "deep_json": (["betti"], "[" * 100_000),
 }
 
 
@@ -168,6 +178,10 @@ def _cases():
     )
     for name, case in BAD_INPUTS.items():
         cases[f"bad {name}"] = case
+    cases["realize-module m990"] = (
+        ["realize-module"],
+        json.dumps({"n": 4, "m": 990, "corners": [{"k": 2, "l": 2, "a": 1}]}),
+    )
     return cases
 
 
@@ -486,6 +500,24 @@ EXPECTED = {
         1,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '{"error": "BadRange", "message": "need max_gens >= 1, got 0"}\n',
+    ),
+    # recorded when deep searches and deep documents stopped raising
+    # RecursionError; the m990 stdout equals what the fully recursive
+    # search printed when given a stack deep enough to finish
+    'realize-module m990': (
+        0,
+        '957a0891e96567beb7269f5a022948361f8e2846660444268bdcea531c32bf1f',
+        '',
+    ),
+    'bad deep_search': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "InfeasibleSpec", "message": "corner matrix search nested too deeply; tightest row is corner 1 (k=2, l=2): value 1200 against per-column cap 3"}\n',
+    ),
+    'bad deep_json': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "JSONDecodeError", "message": "document nested too deeply: line 1 column 1 (char 0)"}\n',
     ),
 }
 

@@ -215,24 +215,63 @@ def test_construct_ideal_builds_each_window_once(monkeypatch, mode):
     # the package re-exports shadow the submodule names, so fetch the module
     module = importlib.import_module("stablebetti.realize_ideal")
     original_bottom = module._corner_bottom
-    original_windows = module._windows
     bottoms = []
-    window_sets = []
+    window_sets = []  # the spec of every window set built (its first bottom)
+
+    def counting_bottom(spec, i, t):
+        if i == 0:
+            window_sets.append(spec)
+        bottoms.append(i)
+        return original_bottom(spec, i, t)
+
+    monkeypatch.setattr(module, "_corner_bottom", counting_bottom)
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
+    construct_ideal(s, mode)
+    assert window_sets == [s]  # one window set feeds bounds, verdicts, blocks
+    assert bottoms == list(range(s.r))  # one window per corner
+
+
+def test_windows_are_built_once_per_spec_object(monkeypatch):
+    # every public entry point reads the windows kept on the spec, so a
+    # spec builds each corner's window once, however many calls it meets
+    module = importlib.import_module("stablebetti.realize_ideal")
+    original_bottom = module._corner_bottom
+    bottoms = []
 
     def counting_bottom(spec, i, t):
         bottoms.append(i)
         return original_bottom(spec, i, t)
 
-    def counting_windows(spec):
-        window_sets.append(spec)
-        return original_windows(spec)
-
     monkeypatch.setattr(module, "_corner_bottom", counting_bottom)
-    monkeypatch.setattr(module, "_windows", counting_windows)
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
-    construct_ideal(s, mode)
-    assert window_sets == [s]  # one window set feeds bounds, verdicts, blocks
-    assert bottoms == list(range(s.r))  # one window per corner
+    assert check_values(s, MODE_STRICT).feasible
+    assert check_values(s, MODE_COUPLED).feasible
+    report = compute_bounds(s)
+    bounds, picks, violation = coupled_chain(s, s.values)
+    out = construct_ideal(s)
+    assert bottoms == list(range(s.r))
+    assert out.bound_report == report
+    assert (list(out.picks), violation) == (picks, None)
+    assert tuple(bounds) == out.coupled_verdict.bounds
+    # an equal spec is another object and builds its own windows
+    compute_bounds(spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1]))
+    assert bottoms == list(range(s.r)) * 2
+
+
+def test_uncovered_spec_raises_on_every_call():
+    # a failed window build caches nothing, so no later call slips through
+    s = spec(3, [(1, 2)], [1])
+    calls = [
+        lambda: check_values(s, MODE_STRICT),
+        lambda: check_values(s, MODE_COUPLED),
+        lambda: compute_bounds(s),
+        lambda: coupled_chain(s, s.values),
+        lambda: construct_ideal(s, MODE_STRICT),
+        lambda: construct_ideal(s, MODE_COUPLED),
+    ]
+    for call in calls + calls:
+        with pytest.raises(UncoveredByCharacterization):
+            call()
 
 
 @pytest.mark.parametrize("mode", MODES)

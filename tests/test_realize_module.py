@@ -115,24 +115,26 @@ def test_validate_corner_matrix_checks_mode_bounds():
 def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m):
     # the package re-exports shadow the submodule names, so fetch the module
     search_module = importlib.import_module("stablebetti.realize_module")
-    original_windows = search_module._windows
-    original_walk = search_module._coupled_walk
+    ideal_module = importlib.import_module("stablebetti.realize_ideal")
+    original_bottom = ideal_module._corner_bottom
+    original_chain = search_module.coupled_chain
     window_sets = []  # the corners of every sub-spec whose windows are built
     attempts = []  # the corners of every column attempt's pattern
     walks = []
 
-    def counting_windows(sub):
-        window_sets.append(sub.corners)
-        return original_windows(sub)
+    def counting_bottom(sub, i, t):
+        if i == 0:  # the first window of a sub-spec's set
+            window_sets.append(sub.corners)
+        return original_bottom(sub, i, t)
 
-    def counting_walk(sub, windows, entries):
+    def counting_chain(sub, entries):
         if not entries:  # the first node of a column attempt
             attempts.append(sub.corners)
         walks.append(len(entries))
-        return original_walk(sub, windows, entries)
+        return original_chain(sub, entries)
 
-    patch_everywhere(monkeypatch, original_windows, counting_windows)
-    monkeypatch.setattr(search_module, "_coupled_walk", counting_walk)
+    monkeypatch.setattr(ideal_module, "_corner_bottom", counting_bottom)
+    monkeypatch.setattr(search_module, "coupled_chain", counting_chain)
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
     expected = {
         MODE_COUPLED: ((1, 2, 0), (3, 3, 2), (1, 0, 3)),
