@@ -23,7 +23,6 @@ from .errors import (
     BadDegree,
     BadRange,
     BudgetExceeded,
-    EmptyIdeal,
     InfeasibleSpec,
     MonomialSyntaxError,
     NotStable,
@@ -35,7 +34,6 @@ from .errors import (
 from .ideals import (
     MonomialIdeal,
     MonomialSubmodule,
-    borel_closure,
     minimalize,
     parse_module_or_ideal,
 )
@@ -47,8 +45,6 @@ from .monomials import (
     parse_monomial,
 )
 from .oracle import (
-    SearchResult,
-    bruteforce_realizability,
     enumerate_strongly_stable,
     koszul_betti,
     lcm_multidegrees,
@@ -71,16 +67,14 @@ from .realize_ideal import (
 from .realize_module import (
     CornerMatrix,
     ModuleRealization,
-    NormalizationResult,
     construct_module,
     filler_ideal,
     find_corner_matrix,
-    normalize_module,
     realize_module,
     validate_corner_matrix,
     validate_module_spec,
 )
-from .segments import lex_count, lex_unrank, stratum, stratum_size
+from .segments import lex_count, lex_unrank, stratum_size
 
 __version__ = "0.1.0"
 
@@ -94,7 +88,6 @@ __all__ = [
     "CornerMatrix",
     "CornerMatrixView",
     "CornerSpec",
-    "EmptyIdeal",
     "IdealRealization",
     "InfeasibleSpec",
     "MODE_COUPLED",
@@ -104,18 +97,14 @@ __all__ = [
     "MonomialSubmodule",
     "MonomialSyntaxError",
     "ModuleRealization",
-    "NormalizationResult",
     "NotStable",
     "PositionVerdict",
-    "SearchResult",
     "SpecError",
     "StableBettiError",
     "UncoveredByCharacterization",
     "ValueVerdict",
     "VerificationFailed",
-    "borel_closure",
     "borel_moves",
-    "bruteforce_realizability",
     "check_values",
     "compute_bounds",
     "construct_ideal",
@@ -137,12 +126,10 @@ __all__ = [
     "max_index",
     "minimalize",
     "module_corner_report",
-    "normalize_module",
     "parse_module_or_ideal",
     "parse_monomial",
     "realize_module",
     "render_diagram",
-    "stratum",
     "stratum_size",
     "validate_corner_matrix",
     "validate_module_spec",

@@ -122,7 +122,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="lift the n <= 5, max_degree <= 6 guard rails",
+        help="lift the n <= 5, max_degree <= 6 guard rails and the census "
+        "decision budget",
     )
     return parser
 

@@ -39,10 +39,6 @@ class BadDegree(StableBettiError):
     """Degree argument outside its documented range."""
 
 
-class EmptyIdeal(StableBettiError):
-    """Operation undefined on the zero ideal."""
-
-
 class NotStable(StableBettiError):
     """Betti formula applied to a non-stable component."""
 

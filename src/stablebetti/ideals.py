@@ -13,11 +13,10 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import BadRange, EmptyIdeal, MonomialSyntaxError, json_document, json_int
+from .errors import BadRange, MonomialSyntaxError, json_document, json_int
 from .monomials import (
     Monomial,
     Packing,
-    borel_moves,
     degree,
     format_monomial,
     max_index,
@@ -194,24 +193,6 @@ class MonomialIdeal:
         if not isinstance(gens, list) or not all(isinstance(t, str) for t in gens):
             raise MonomialSyntaxError('"generators" must be a list of strings')
         return cls.from_generators(n, (parse_monomial(t, n) for t in gens))
-
-
-def borel_closure(n: int, monos) -> MonomialIdeal:
-    """Smallest strongly stable ideal whose generators contain the input set."""
-    seeds = {tuple(u) for u in monos}
-    if not seeds:
-        raise EmptyIdeal("closure of the empty set is the zero ideal")
-    closed: set[Monomial] = set()
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        if u in closed:
-            continue
-        closed.add(u)
-        for v in borel_moves(u):
-            if v not in closed:
-                stack.append(v)
-    return MonomialIdeal.from_generators(n, closed)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
-"""Independent ground truth for Betti tables and realizability claims.
+"""Independent ground truth for Betti tables, and the census of small
+strongly stable ideals.
 
-Two oracles live here, both exact. koszul_betti computes graded Betti
-numbers from the homology of the Koszul complex, one monomial
-multidegree at a time, with no stability assumption; it is the outside
-check on the generator formula in betti.py. Each block's boundary maps
-are kept as sparse integer columns and ranked over Q by exact
-elimination that prefers unit pivots, and the lcm lattice is built on
-packed integers. enumerate_strongly_stable and bruteforce_realizability
-search the space of small strongly stable ideals directly, so
-realizability verdicts can be confronted with an exhaustive scan.
+koszul_betti computes exact graded Betti numbers from the homology of
+the Koszul complex, one monomial multidegree at a time, with no
+stability assumption; it is the outside check on the generator formula
+in betti.py. Each block's boundary maps are kept as sparse integer
+columns and ranked over Q by exact elimination that prefers unit
+pivots, and the lcm lattice is built on packed integers.
+enumerate_strongly_stable lists the small strongly stable ideals
+themselves, within guard rails and a decision budget.
 
 The multidegree decomposition rests on two standard facts. Nonzero
 homology only occurs in multidegrees that are least common multiples of
@@ -20,22 +20,12 @@ support divides out are simplex complexes and contribute nothing.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 
-from .betti import BettiTable, corner_sequence, ek_betti
+from .betti import BettiTable
 from .errors import BadRange, BudgetExceeded
 from .ideals import MonomialIdeal, MonomialSubmodule
-from .monomials import (
-    Monomial,
-    borel_moves,
-    degree,
-    iter_degree,
-    max_index,
-    mul_var,
-)
-from .segments import stratum, stratum_size
+from .monomials import Monomial, borel_moves, iter_degree, mul_var
 
 
 def _rank(columns: list[dict[int, int]]) -> int:
@@ -252,12 +242,10 @@ def koszul_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     return BettiTable(module.n, entries)
 
 
-def _single_shadow(n: int, monos) -> set[Monomial]:
-    out: set[Monomial] = set()
-    for u in monos:
-        for t in range(1, n + 1):
-            out.add(mul_var(u, t))
-    return out
+# Search decisions one census may take unless allow_large is set. The
+# largest census inside the guard rails that finishes, n = 3 to degree 6,
+# takes 195,732; n = 4 to degree 4 takes 86,169.
+CENSUS_DECISIONS = 300_000
 
 
 def enumerate_strongly_stable(
@@ -266,7 +254,6 @@ def enumerate_strongly_stable(
     max_gens: int | None = None,
     *,
     allow_large: bool = False,
-    decision_budget: int | None = None,
 ):
     """Yield every strongly stable ideal within the bounds, each once.
 
@@ -276,7 +263,9 @@ def enumerate_strongly_stable(
     of the previous slice's shadow; the surplus over the shadow is
     automatically the minimal generating set in that degree. Order is
     deterministic. Guard rails n <= 5, max_degree <= 6 keep accidental
-    blowups out; pass allow_large=True to lift them.
+    blowups out, and a search past CENSUS_DECISIONS decisions raises
+    BudgetExceeded after yielding what it found; pass allow_large=True
+    to lift both.
     """
     if n < 1:
         raise BadRange(f"need n >= 1, got {n}")
@@ -289,20 +278,22 @@ def enumerate_strongly_stable(
             f"census guard rails allow n <= 5 and max_degree <= 6, got "
             f"n={n}, max_degree={max_degree}; pass allow_large=True to lift"
         )
-    budget = [decision_budget if decision_budget is not None else -1]
+    left = [inf if allow_large else CENSUS_DECISIONS]
 
     def spend():
-        if budget[0] == 0:
-            raise BudgetExceeded("census decision budget exhausted")
-        if budget[0] > 0:
-            budget[0] -= 1
+        left[0] -= 1
+        if left[0] < 0:
+            raise BudgetExceeded(
+                f"census decision budget of {CENSUS_DECISIONS} exhausted at "
+                f"n={n}, max_degree={max_degree}; pass allow_large=True to lift"
+            )
 
     def by_degree(d: int, prev: tuple[Monomial, ...], gens: tuple[Monomial, ...]):
         if d > max_degree:
             if gens:
                 yield MonomialIdeal.from_generators(n, gens)
             return
-        forced = _single_shadow(n, prev)
+        forced = {mul_var(u, t) for u in prev for t in range(1, n + 1)}
         cands = list(iter_degree(n, d))
         included = set(forced)
         added: list[Monomial] = []
@@ -330,190 +321,3 @@ def enumerate_strongly_stable(
         yield from decide(0)
 
     yield from by_degree(1, (), ())
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of a brute-force witness hunt.
-
-    complete=True with a witness means the witness is verified; with
-    witness=None it means the whole pruned universe was exhausted, so no
-    strongly stable ideal on n variables (no component tuple within the
-    stated limits, in the module case) realizes the spec. complete=False
-    only ever reports none-found-within-budget, never infeasibility.
-    """
-
-    witness: object | None
-    complete: bool
-    decisions: int
-
-
-class _BudgetInterrupt(Exception):
-    pass
-
-
-def bruteforce_realizability(
-    spec, *, m: int = 1, decision_budget: int = 2_000_000
-) -> SearchResult:
-    """Search for a witness of a corner spec without the constructive theory.
-
-    For m=1 this is a depth-first scan over chains of Borel-closed degree
-    slices, pruned only by conditions forced on any witness by the corner
-    definition itself: generators cannot outlive the last corner degree,
-    their largest variable index is capped by the next corner still ahead,
-    and a corner degree must carry exactly its value's worth of generators
-    peaking at that cap. Candidates are confirmed against the Betti table
-    before being returned. For m > 1 the component census up to the last
-    corner degree is materialized, within the census guard rails (n <= 5,
-    degree <= 6, else BudgetExceeded), and m-tuples are scanned in
-    deterministic order.
-    """
-    if m < 1:
-        raise BadRange(f"need m >= 1, got {m}")
-    if m == 1:
-        return _ideal_witness_search(spec, decision_budget)
-    return _module_witness_search(spec, m, decision_budget)
-
-
-def _ideal_witness_search(spec, decision_budget: int) -> SearchResult:
-    n = spec.n
-    corners = list(spec.corners)
-    values = list(spec.values)
-    target = list(zip(spec.corners, spec.values))
-    last = corners[-1].ell
-    corner_at = {c.ell: (c.k, a) for c, a in zip(corners, values)}
-    for c, a in zip(corners, values):
-        if a > stratum_size(c.k, c.ell):
-            # more peak generators than the peak stratum holds
-            return SearchResult(None, True, 0)
-
-    def cap(d: int) -> int:
-        for c in corners:
-            if c.ell >= d:
-                return c.k + 1
-        raise AssertionError("degree beyond the last corner")
-
-    strata = {c.ell: stratum(n, c.k, c.ell) for c in corners}
-    decisions = [0]
-    found: list[MonomialIdeal | None] = [None]
-
-    def spend():
-        decisions[0] += 1
-        if decisions[0] > decision_budget:
-            raise _BudgetInterrupt
-
-    def future_capacity_ok(slice_d: tuple[Monomial, ...], d: int) -> bool:
-        cur = set(slice_d)
-        deg = d
-        for c, a in zip(corners, values):
-            if c.ell <= d:
-                continue
-            while deg < c.ell:
-                cur = _single_shadow(n, cur)
-                deg += 1
-            if sum(1 for u in strata[c.ell] if u not in cur) < a:
-                return False
-        return True
-
-    def at_degree(d: int, prev: tuple[Monomial, ...], gens: tuple[Monomial, ...]):
-        if found[0] is not None:
-            return
-        if d > last:
-            ideal = MonomialIdeal.from_generators(n, gens)
-            if corner_sequence(ek_betti(ideal)) == target:
-                found[0] = ideal
-            return
-        forced = _single_shadow(n, prev)
-        limit = cap(d)
-        at_corner = d in corner_at
-        k_req, a_req = corner_at.get(d, (0, 0))
-        cands = [
-            u
-            for u in iter_degree(n, d)
-            if u in forced or max_index(u) <= limit
-        ]
-        is_peak = [
-            u not in forced and at_corner and max_index(u) == k_req + 1
-            for u in cands
-        ]
-        peak_left = [0] * (len(cands) + 1)
-        for idx in range(len(cands) - 1, -1, -1):
-            peak_left[idx] = peak_left[idx + 1] + is_peak[idx]
-        included = set(forced)
-        added: list[Monomial] = []
-
-        def decide(idx: int, count: int):
-            if found[0] is not None:
-                return
-            spend()
-            if at_corner and (count > a_req or count + peak_left[idx] < a_req):
-                return
-            if idx == len(cands):
-                if at_corner and count != a_req:
-                    return
-                slice_d = tuple(u for u in cands if u in included)
-                if at_corner and not future_capacity_ok(slice_d, d):
-                    return
-                at_degree(d + 1, slice_d, gens + tuple(added))
-                return
-            u = cands[idx]
-            if u in forced:
-                decide(idx + 1, count)
-                return
-            can_include = all(v in included for v in borel_moves(u))
-
-            def include():
-                included.add(u)
-                added.append(u)
-                decide(idx + 1, count + (1 if is_peak[idx] else 0))
-                added.pop()
-                included.discard(u)
-
-            # At a corner degree still short of its value the top-down
-            # fill mirrors the constructive witness, so try it first;
-            # everywhere else the leanest ideal goes first.
-            if at_corner and count < a_req:
-                if can_include:
-                    include()
-                decide(idx + 1, count)
-            else:
-                decide(idx + 1, count)
-                if can_include and not (is_peak[idx] and count >= a_req):
-                    include()
-
-        decide(0, 0)
-
-    try:
-        at_degree(1, (), ())
-    except _BudgetInterrupt:
-        return SearchResult(None, False, decisions[0])
-    if found[0] is not None:
-        return SearchResult(found[0], True, decisions[0])
-    return SearchResult(None, True, decisions[0])
-
-
-def _module_witness_search(spec, m: int, decision_budget: int) -> SearchResult:
-    n = spec.n
-    last = spec.corners[-1].ell
-    if n > 5 or last > 6:
-        raise BudgetExceeded(
-            f"the module brute force scans the census up to the last corner "
-            f"degree and runs for n <= 5 and last corner degree <= 6 only, "
-            f"got n={n}, last corner degree {last}"
-        )
-    target = list(zip(spec.corners, spec.values))
-    census = list(enumerate_strongly_stable(n, last))
-    tables = [ek_betti(ideal).entries for ideal in census]
-    count = 0
-    for combo in itertools.product(range(len(census)), repeat=m):
-        count += 1
-        if count > decision_budget:
-            return SearchResult(None, False, count)
-        merged: dict[tuple[int, int], int] = {}
-        for t in combo:
-            for key, v in tables[t].items():
-                merged[key] = merged.get(key, 0) + v
-        if corner_sequence(BettiTable(n, merged)) == target:
-            module = MonomialSubmodule(n, tuple(census[t] for t in combo))
-            return SearchResult(module, True, count)
-    return SearchResult(None, True, count)

@@ -110,14 +110,21 @@ class CornerSpec:
             out.append((bottom, size))
         return tuple(out)
 
+    @cached_property
+    def _sub_specs(self) -> dict:
+        return {}
+
     def sub_spec(self, rows, values=None) -> "CornerSpec":
-        """The spec restricted to a subsequence of corner rows (0-based)."""
+        """The spec restricted to a subsequence of corner rows (0-based).
+        Equal requests get the same spec object, and so share its windows."""
         rows = tuple(rows)
         if values is None:
-            values = tuple(self.values[i] for i in rows)
-        return CornerSpec(
-            self.n, tuple(self.corners[i] for i in rows), tuple(values)
-        )
+            values = (self.values[i] for i in rows)
+        key = (rows, tuple(values))
+        if key not in self._sub_specs:
+            corners = tuple(self.corners[i] for i in rows)
+            self._sub_specs[key] = CornerSpec(self.n, corners, key[1])
+        return self._sub_specs[key]
 
     def to_obj(self) -> dict:
         return {

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import BettiTable, CornerMatrixView, corner_matrix, corner_sequence
+from .betti import BettiTable, corner_matrix
 from .errors import (
     InfeasibleSpec,
     SpecError,
@@ -252,8 +252,7 @@ def validate_corner_matrix(
         rows = tuple(i for i in range(r) if matrix[i][h])
         if not rows:
             continue
-        entries = [matrix[i][h] for i in rows]
-        sub = spec.sub_spec(rows, values=tuple(entries))
+        sub = spec.sub_spec(rows, [matrix[i][h] for i in rows])
         try:  # check_values screens the positions before anything else
             verdict = check_values(sub, mode)
         except (InfeasibleSpec, UncoveredByCharacterization) as exc:
@@ -326,7 +325,8 @@ def construct_module(
             )
             columns.append(None)
             continue
-        sub = spec.sub_spec(rows, values=tuple(matrix[i][h] for i in rows))
+        # the sub-spec validate_corner_matrix checked, windows and all
+        sub = spec.sub_spec(rows, [matrix[i][h] for i in rows])
         realization = construct_ideal(sub, mode)
         components.append(realization.ideal)
         columns.append(realization)
@@ -354,65 +354,3 @@ def realize_module(
     """find_corner_matrix followed by construct_module."""
     matrix = find_corner_matrix(spec, m, mode, node_budget=node_budget)
     return construct_module(spec, matrix, mode)
-
-
-@dataclass(frozen=True)
-class NormalizationResult:
-    module: MonomialSubmodule
-    rebuilt: tuple[int, ...]  # 1-based indices of replaced components
-    matrix: CornerMatrix
-
-
-def _misowned(view: CornerMatrixView) -> list[int]:
-    """The 0-based corner components whose own corner set differs from the
-    module corners they contribute to, read off the view's tables."""
-    out = []
-    for h, table in enumerate(view.component_tables):
-        shared = {c for c, row in zip(view.corners, view.rows) if row[h]}
-        if shared and shared != {c for c, _v in corner_sequence(table)}:
-            out.append(h)
-    return out
-
-
-def normalize_module(
-    module: MonomialSubmodule, mode: str = MODE_COUPLED
-) -> NormalizationResult:
-    """Rebuild corner components until each owns exactly its shared corners.
-
-    Components whose own corner set already equals their module-corner
-    pattern pass through untouched, as do components contributing to no
-    corner. The rest are replaced by fresh realizations of their column.
-    The result must keep the module's corner positions and values and
-    satisfy the ownership property; otherwise VerificationFailed.
-    """
-    _check_mode(mode)
-    if any(f != 0 for f in module.shifts):
-        raise SpecError("normalization assumes unshifted components")
-    view = corner_matrix(module)
-    before = list(zip(view.corners, view.values))
-    if not before:
-        return NormalizationResult(module, (), ())
-    components = list(module.components)
-    rebuilt = _misowned(view)
-    for h in rebuilt:
-        rows = [i for i, row in enumerate(view.rows) if row[h]]
-        sub = CornerSpec(
-            module.n,
-            tuple(view.corners[i] for i in rows),
-            tuple(view.rows[i][h] for i in rows),
-        )
-        components[h] = construct_ideal(sub, mode).ideal
-    result = MonomialSubmodule(module.n, tuple(components))
-    view2 = corner_matrix(result)
-    after = list(zip(view2.corners, view2.values))
-    if after != before:
-        raise VerificationFailed(
-            f"normalization moved the corner sequence: {_corner_text(after)}"
-        )
-    still = _misowned(view2)
-    if still:
-        raise VerificationFailed(
-            f"component {still[0] + 1} still owns corners outside its module "
-            f"contribution after normalization"
-        )
-    return NormalizationResult(result, tuple(h + 1 for h in rebuilt), view2.rows)

@@ -17,26 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import BadDegree, BadRange
-from .monomials import Monomial, degree, iter_degree, mul_var
-
-
-def stratum(n: int, k: int, d: int) -> list[Monomial]:
-    """A(k, d), lex-descending.
-
-    |A(k, d)| = C(k+d-1, d-1): the degree-d monomials in x1..x_{k+1}
-    divisible by x_{k+1}.
-    """
-    if not 1 <= k <= n - 1:
-        raise BadRange(f"need 1 <= k <= n-1 = {n - 1}, got k={k}")
-    if d < 1:
-        raise BadDegree(f"need d >= 1, got {d}")
-    pad = (0,) * (n - k - 1)
-    out = []
-    for w in iter_degree(k + 1, d - 1):
-        u = w[:k] + (w[k] + 1,) + pad
-        out.append(u)
-    return out
+from .errors import BadRange
+from .monomials import Monomial, degree, mul_var
 
 
 def stratum_size(k: int, d: int) -> int:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled reference ideals and modules.
+"""Shared fixtures: the bundled reference ideals and modules, and the
+helpers that build ideals and corner specs from short literals.
 
 Two families: chain ideals (one generator per corner value, first corner
 in degree 2) and two module bundles whose corner matrices and component
@@ -9,11 +10,15 @@ import sys
 
 import pytest
 
-from stablebetti import MonomialIdeal, MonomialSubmodule
+from stablebetti import Corner, CornerSpec, MonomialIdeal, MonomialSubmodule
 
 
 def ideal(n, gens):
     return MonomialIdeal.from_strings(n, gens)
+
+
+def spec(n, pairs, values):
+    return CornerSpec(n, tuple(Corner(k, l) for k, l in pairs), tuple(values))
 
 
 CHAIN_SMALL_GENS = [

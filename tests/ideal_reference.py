@@ -6,11 +6,12 @@ use the same packed test. These are the tuple versions they replaced:
 divisibility exponent by exponent, membership as a scan over the
 generators, and the exchange scans built on that membership. The tests
 compare the two on arbitrary generator lists. graded_slice lists a whole
-degree of an ideal and serves the dense Koszul slice.
+degree of an ideal and serves the dense Koszul slice, and borel_closure
+builds strongly stable test inputs from arbitrary seeds.
 """
 
 from stablebetti.ideals import MonomialIdeal, canonical_key
-from stablebetti.monomials import Monomial, iter_degree, max_index, unit
+from stablebetti.monomials import Monomial, borel_moves, iter_degree, max_index, unit
 
 
 def divides(u: Monomial, v: Monomial) -> bool:
@@ -56,3 +57,15 @@ def stability_violation(ideal: MonomialIdeal, strong: bool):
 def graded_slice(ideal: MonomialIdeal, d: int) -> list[Monomial]:
     """All degree-d monomials of the ideal, lex-descending."""
     return [u for u in iter_degree(ideal.n, d) if contains(ideal, u)]
+
+
+def borel_closure(n: int, monos) -> MonomialIdeal:
+    """Smallest strongly stable ideal whose generators contain the input set."""
+    closed: set[Monomial] = set()
+    frontier = {tuple(u) for u in monos}
+    if not frontier:
+        raise ValueError("closure of the empty set is the zero ideal")
+    while frontier:
+        closed |= frontier
+        frontier = {v for u in frontier for v in borel_moves(u)} - closed
+    return MonomialIdeal.from_generators(n, closed)

@@ -14,6 +14,7 @@ import random
 import pytest
 
 import chain_reference
+from bruteforce_reference import bruteforce_realizability
 from conftest import (
     CHAIN_LARGE_CORNERS,
     CHAIN_LARGE_GENS,
@@ -27,7 +28,6 @@ from stablebetti import (
     Corner,
     CornerSpec,
     InfeasibleSpec,
-    bruteforce_realizability,
     check_values,
     compute_bounds,
     construct_ideal,

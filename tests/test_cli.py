@@ -1,9 +1,11 @@
 import functools
 import io
+import itertools
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ideal_reference import borel_closure
 
 from stablebetti import (
     InfeasibleSpec,
@@ -12,12 +14,11 @@ from stablebetti import (
     UncoveredByCharacterization,
     VerificationFailed,
     __version__,
-    borel_closure,
     cli,
     enumerate_strongly_stable,
     realize_module,
 )
-from stablebetti import errors
+from stablebetti import errors, oracle
 from stablebetti.cli import _exit_code, _UsageError, run
 from stablebetti.monomials import format_monomial
 from test_cli_snapshot import CASES, EXPECTED, _snapshot
@@ -329,6 +330,23 @@ def test_census_guard_rails_exit_1():
     code, _out, err = invoke(["census", "-n", "6", "-d", "7"])
     assert code == 1
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_census_past_its_decision_budget_exits_1(monkeypatch):
+    # the lines printed before the budget ran out stay on stdout, and
+    # they begin the full enumeration
+    monkeypatch.setattr(oracle, "CENSUS_DECISIONS", 2000)
+    code, out, err = invoke(["census", "-n", "4", "-d", "6"])
+    assert code == 1
+    assert json.loads(err) == {  # one object: a second would be extra data
+        "error": "BudgetExceeded",
+        "message": "census decision budget of 2000 exhausted at n=4, "
+        "max_degree=6; pass allow_large=True to lift",
+    }
+    lines = out.splitlines()
+    assert lines
+    full = enumerate_strongly_stable(4, 6, allow_large=True)
+    assert lines == [i.to_json() for i in itertools.islice(full, len(lines))]
 
 
 def test_exit_code_mapping():

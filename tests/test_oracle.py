@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from bruteforce_reference import bruteforce_realizability
+from conftest import spec
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from ideal_reference import borel_closure
 from koszul_reference import (
     GradedComplexSlice,
     dense_shape_homology,
@@ -23,8 +26,6 @@ from stablebetti import (
     CornerSpec,
     MonomialIdeal,
     MonomialSubmodule,
-    borel_closure,
-    bruteforce_realizability,
     construct_ideal,
     construct_module,
     corner_sequence,
@@ -380,30 +381,27 @@ def test_census_max_gens_filter():
         list(enumerate_strongly_stable(3, 3, max_gens=0))
 
 
-def test_census_guard_rails_and_budget():
+def test_census_guard_rails_and_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         list(enumerate_strongly_stable(6, 2))
     with pytest.raises(BudgetExceeded):
         list(enumerate_strongly_stable(2, 7))
+    monkeypatch.setattr(oracle, "CENSUS_DECISIONS", 10)
     with pytest.raises(BudgetExceeded):
-        list(enumerate_strongly_stable(3, 3, decision_budget=10))
-    # allow_large lifts the rails (kept tiny here)
+        list(enumerate_strongly_stable(3, 3))
+    # allow_large lifts the rails and the budget (kept tiny here)
     assert len(list(enumerate_strongly_stable(2, 7, allow_large=True))) > 14
 
 
-def _spec(n, pairs, values):
-    return CornerSpec(n, tuple(Corner(k, l) for k, l in pairs), tuple(values))
-
-
 def test_bruteforce_finds_known_witness():
-    res = bruteforce_realizability(_spec(3, [(1, 2)], [1]))
+    res = bruteforce_realizability(spec(3, [(1, 2)], [1]))
     assert res.complete and res.witness is not None
     assert corner_sequence(ek_betti(res.witness)) == [(Corner(1, 2), 1)]
 
 
 def test_bruteforce_witness_with_gap_between_corners():
     # requires a generator jump over degree 3 to separate the two corners
-    res = bruteforce_realizability(_spec(3, [(2, 2), (1, 4)], [1, 1]))
+    res = bruteforce_realizability(spec(3, [(2, 2), (1, 4)], [1, 1]))
     assert res.complete
     assert set(res.witness.gens) == {
         parse_monomial(t, 3) for t in ["x1^2", "x1*x2", "x1*x3", "x2^4"]
@@ -415,26 +413,26 @@ def test_bruteforce_witness_with_gap_between_corners():
 
 
 def test_bruteforce_rejects_overfull_stratum():
-    res = bruteforce_realizability(_spec(3, [(2, 2)], [4]))  # |A(2,2)| = 3
+    res = bruteforce_realizability(spec(3, [(2, 2)], [4]))  # |A(2,2)| = 3
     assert res.complete and res.witness is None
     assert res.decisions == 0
 
 
 def test_bruteforce_exhausts_impossible_combination():
     # filling all of degree 2 leaves no room for a later generator
-    res = bruteforce_realizability(_spec(3, [(2, 2), (1, 3)], [3, 1]))
+    res = bruteforce_realizability(spec(3, [(2, 2), (1, 3)], [3, 1]))
     assert res.complete and res.witness is None
 
 
 def test_bruteforce_budget_reports_incomplete():
     res = bruteforce_realizability(
-        _spec(4, [(3, 2), (2, 3), (1, 4)], [1, 1, 1]), decision_budget=3
+        spec(4, [(3, 2), (2, 3), (1, 4)], [1, 1, 1]), decision_budget=3
     )
     assert not res.complete and res.witness is None
 
 
 def test_bruteforce_module_path():
-    res = bruteforce_realizability(_spec(3, [(1, 2)], [2]), m=2)
+    res = bruteforce_realizability(spec(3, [(1, 2)], [2]), m=2)
     assert res.complete and res.witness is not None
     module = res.witness
     assert module.m == 2
@@ -445,8 +443,8 @@ def test_bruteforce_module_search_states_its_own_limits():
     # the m > 1 search runs the census itself, so it refuses with its own
     # limits rather than the census's advice to pass allow_large=True
     for s, got in [
-        (_spec(4, [(2, 7)], [1]), "n=4, last corner degree 7"),
-        (_spec(6, [(2, 3)], [1]), "n=6, last corner degree 3"),
+        (spec(4, [(2, 7)], [1]), "n=4, last corner degree 7"),
+        (spec(6, [(2, 3)], [1]), "n=6, last corner degree 3"),
     ]:
         with pytest.raises(BudgetExceeded) as err:
             bruteforce_realizability(s, m=2)
@@ -467,7 +465,7 @@ def _positions(draw, max_n):
     first = draw(st.integers(2, 4))
     steps = draw(st.lists(st.integers(1, 2), min_size=r - 1, max_size=r - 1))
     ells = itertools.accumulate([first] + steps)
-    pos = _spec(n, zip(reversed(ks), ells), [1] * r)
+    pos = spec(n, zip(reversed(ks), ells), [1] * r)
     assume(validate_positions(pos).admissible)
     return pos
 

@@ -7,7 +7,7 @@ import random
 import chain_reference
 import pytest
 import window_reference as reference
-from conftest import patch_everywhere
+from conftest import patch_everywhere, spec
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,12 +33,8 @@ from stablebetti import (
     format_monomial,
     validate_positions,
 )
-from stablebetti import betti, monomials, segments
+from stablebetti import betti, monomials
 from stablebetti.cli import run
-
-
-def spec(n, pairs, values):
-    return CornerSpec(n, tuple(Corner(k, l) for k, l in pairs), tuple(values))
 
 
 def test_spec_validation():
@@ -281,7 +277,6 @@ def test_realization_lists_no_stratum(monkeypatch, mode):
     def refuse(*args, **kwargs):
         raise AssertionError("a stratum or a whole degree was listed")
 
-    patch_everywhere(monkeypatch, segments.stratum, refuse)
     patch_everywhere(monkeypatch, monomials.iter_degree, refuse)
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
     out = construct_ideal(s, mode)

@@ -2,11 +2,11 @@ import importlib
 from collections import Counter
 
 import pytest
-from conftest import patch_everywhere
+from conftest import patch_everywhere, spec
+from normalize_reference import normalize_module
 
 from stablebetti import (
     Corner,
-    CornerSpec,
     InfeasibleSpec,
     MODE_COUPLED,
     MODE_STRICT,
@@ -23,15 +23,10 @@ from stablebetti import (
     filler_ideal,
     find_corner_matrix,
     module_corner_report,
-    normalize_module,
     realize_module,
     validate_corner_matrix,
     validate_module_spec,
 )
-
-
-def spec(n, pairs, values):
-    return CornerSpec(n, tuple(Corner(k, l) for k, l in pairs), tuple(values))
 
 
 def test_validate_module_spec_delegates_for_single_component():
@@ -135,13 +130,14 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
 
     monkeypatch.setattr(ideal_module, "_corner_bottom", counting_bottom)
     monkeypatch.setattr(search_module, "coupled_chain", counting_chain)
-    s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
     expected = {
         MODE_COUPLED: ((1, 2, 0), (3, 3, 2), (1, 0, 3)),
         MODE_STRICT: ((3, 0, 0), (1, 7, 0), (0, 1, 3)),
     }
     for mode in (MODE_COUPLED, MODE_STRICT):
         window_sets.clear()
+        # a fresh spec each time, since a spec keeps its sub-specs' windows
+        s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
         if m == 2:
             with pytest.raises(InfeasibleSpec):  # refused after a full search
                 find_corner_matrix(s, m, mode)
@@ -153,6 +149,25 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
             assert set(attempts) <= set(window_sets)
             assert len(attempts) > len(set(attempts))  # patterns are retried
             assert len(walks) > len(attempts)  # later nodes reuse the windows
+
+
+def test_construct_module_builds_each_column_window_once(monkeypatch):
+    # the matrix check and the column's construction share one sub-spec,
+    # and so its windows: one bottom per corner a column carries
+    module = importlib.import_module("stablebetti.realize_ideal")
+    original_bottom = module._corner_bottom
+    bottoms = []
+
+    def counting_bottom(sub, i, t):
+        bottoms.append((sub.corners, i))
+        return original_bottom(sub, i, t)
+
+    monkeypatch.setattr(module, "_corner_bottom", counting_bottom)
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
+    matrix = ((1, 2, 0), (3, 3, 2), (1, 0, 3))
+    assert construct_module(s, matrix).matrix == matrix
+    assert len(bottoms) == 3 + 2 + 2
+    assert len(set(bottoms)) == len(bottoms)
 
 
 def test_filler_ideal_is_corner_invisible():
@@ -194,20 +209,19 @@ def test_realize_module_two_columns_with_split():
 
 
 def test_normalize_module_fixpoint(bundle3):
-    res = normalize_module(bundle3)
-    assert res.rebuilt == ()
-    assert res.module == bundle3
+    module, rebuilt = normalize_module(bundle3)
+    assert rebuilt == ()
+    assert module == bundle3
 
 
 def test_normalize_module_rebuilds_offending_component(bundle4):
     before = corner_sequence(ek_betti(bundle4))
-    res = normalize_module(bundle4)
-    assert res.rebuilt == (4,)
-    assert corner_sequence(ek_betti(res.module)) == before
-    view = corner_matrix(res.module)
+    module, rebuilt = normalize_module(bundle4)
+    assert rebuilt == (4,)
+    assert corner_sequence(ek_betti(module)) == before
+    view = corner_matrix(module)
     assert view.rows == corner_matrix(bundle4).rows
-    rebuilt = res.module.components[3]
-    own = corner_sequence(ek_betti(rebuilt))
+    own = corner_sequence(ek_betti(module.components[3]))
     assert own == [(Corner(3, 3), 3)]
 
 
