@@ -24,13 +24,6 @@ def unit(n: int) -> Monomial:
     return (0,) * n
 
 
-def variable(n: int, i: int) -> Monomial:
-    """The monomial x_i in n variables (i is 1-based)."""
-    if not 1 <= i <= n:
-        raise BadRange(f"variable index {i} outside 1..{n}")
-    return tuple(1 if t == i - 1 else 0 for t in range(n))
-
-
 def degree(u: Monomial) -> int:
     return sum(u)
 

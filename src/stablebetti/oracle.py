@@ -288,29 +288,35 @@ def enumerate_strongly_stable(
                 f"n={n}, max_degree={max_degree}; pass allow_large=True to lift"
             )
 
+    # each degree's candidates with their exchanges, built once per census
+    levels = [
+        [(u, borel_moves(u)) for u in iter_degree(n, d)]
+        for d in range(1, max_degree + 1)
+    ]
+
     def by_degree(d: int, prev: tuple[Monomial, ...], gens: tuple[Monomial, ...]):
         if d > max_degree:
-            if gens:
-                yield MonomialIdeal.from_generators(n, gens)
+            if gens:  # minimal, and in canonical order as added
+                yield MonomialIdeal(n, gens)
             return
         forced = {mul_var(u, t) for u in prev for t in range(1, n + 1)}
-        cands = list(iter_degree(n, d))
+        cands = levels[d - 1]
         included = set(forced)
         added: list[Monomial] = []
 
         def decide(idx: int):
             spend()
             if idx == len(cands):
-                slice_d = tuple(u for u in cands if u in included)
+                slice_d = tuple(u for u, _moves in cands if u in included)
                 yield from by_degree(d + 1, slice_d, gens + tuple(added))
                 return
-            u = cands[idx]
+            u, moves = cands[idx]
             if u in forced:
                 yield from decide(idx + 1)
                 return
             yield from decide(idx + 1)
             if (max_gens is None or len(gens) + len(added) < max_gens) and all(
-                v in included for v in borel_moves(u)
+                v in included for v in moves
             ):
                 included.add(u)
                 added.append(u)

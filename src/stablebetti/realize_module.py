@@ -12,15 +12,19 @@ find_corner_matrix searches for such a matrix deterministically: columns
 left to right, candidate row patterns by descending bitmask (full
 pattern first, empty column last), entries greedily at their largest
 admissible value and decremented on backtrack. Patterns whose row
-subsequence fails position screening are never tried.
+subsequence fails position screening are never tried. The walk keeps one
+candidate generator per placed column on an explicit stack, so its depth
+does not grow with m; m itself is capped at MAX_COMPONENTS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .betti import BettiTable, corner_matrix
 from .errors import (
+    BudgetExceeded,
     InfeasibleSpec,
     SpecError,
     UncoveredByCharacterization,
@@ -50,16 +54,23 @@ from .segments import stratum_size
 
 CornerMatrix = tuple[tuple[int, ...], ...]
 
+# Largest component count a module spec may ask for: the matrix and the
+# module hold one column per component.
+MAX_COMPONENTS = 10_000
+
 
 def validate_module_spec(spec: CornerSpec, m: int) -> PositionVerdict:
     """Screen a spec for m components.
 
     m = 1 defers to the single-ideal position rules. For m > 1 the
     positions themselves are unconstrained and only the per-corner value
-    range 1 <= a_i <= m * C(k_i + l_i - 1, l_i - 1) is checked.
+    range 1 <= a_i <= m * C(k_i + l_i - 1, l_i - 1) is checked. An m
+    above MAX_COMPONENTS raises BudgetExceeded.
     """
     if json_int(m, "m", SpecError) < 1:
         raise SpecError(f"need m >= 1, got {m}")
+    if m > MAX_COMPONENTS:
+        raise BudgetExceeded(f"a module spec allows m <= {MAX_COMPONENTS}, got {m}")
     if m == 1:
         return validate_positions(spec)
     for c, a in zip(spec.corners, spec.values):
@@ -115,8 +126,7 @@ def find_corner_matrix(
     """First matrix splitting the corner values across m components.
 
     Raises InfeasibleSpec when the search space is exhausted (or, with
-    exhausted_budget set, when the node budget ran out first or the
-    search nested past the interpreter's recursion limit).
+    exhausted_budget set, when the node budget ran out first).
     """
     _check_mode(mode)
     verdict = validate_module_spec(spec, m)
@@ -132,103 +142,79 @@ def find_corner_matrix(
         else {}
     )
     single_cap = [stratum_size(c.k, c.ell) for c in spec.corners]
-    nodes = [0]
+    nodes = count(1)
 
     def spend():
-        nodes[0] += 1
-        if nodes[0] > node_budget:
+        if next(nodes) > node_budget:
             raise InfeasibleSpec(
                 "corner matrix search budget exhausted; " + _tightest_row(spec, m),
                 exhausted_budget=True,
             )
 
     rem = list(spec.values)
-    columns: list[tuple[int, ...]] = []
-    found: list[CornerMatrix] = []
+    columns: list[dict[int, int]] = []  # each placed column's nonzero entries
 
-    def fill_column(rows, sub, pos: int, entries: list[int]) -> bool:
-        spend()
-        if pos == len(rows):
-            column = [0] * r
-            for t, i in enumerate(rows):
-                column[i] = entries[t]
-                rem[i] -= entries[t]
-            columns.append(tuple(column))
-            ok = place(len(columns))
-            columns.pop()
-            for t, i in enumerate(rows):
-                rem[i] += entries[t]
-            return ok
-        if mode == MODE_COUPLED:
-            bounds, _picks, violation = coupled_chain(sub, entries)
-            cap = 0 if violation is not None else bounds[-1]
-        else:
-            cap = strict_caps[rows][pos]
-        i = rows[pos]
-        cap = min(cap, rem[i])
+    def candidates():
+        """Place each candidate for the next column in turn, keeping it
+        applied to rem while suspended."""
+        cols_left = m - len(columns)
+        if any(rem[i] > cols_left * single_cap[i] for i in range(r)):
+            return
         # later columns contribute at most single_cap[i] each to row i,
-        # so anything below this floor can never be completed
-        cols_after = m - len(columns) - 1
-        floor = max(1, rem[i] - cols_after * single_cap[i])
-        for v in range(cap, floor - 1, -1):
-            entries.append(v)
-            if fill_column(rows, sub, pos + 1, entries):
-                return True
-            entries.pop()
-        return False
+        # so an entry below this floor can never be completed
+        floor = [max(1, rem[i] - (cols_left - 1) * single_cap[i]) for i in range(r)]
 
-    def place(h: int) -> bool:
-        spend()
-        if not any(rem):
-            # the recursion would fill every column left with zeros; do it
-            # here, without one nested call per column
-            found.append(
-                tuple(
-                    tuple(col[i] for col in columns) + (0,) * (m - h)
-                    for i in range(r)
-                )
-            )
-            return True
-        if h == m:
-            return False
-        cols_left = m - h
-        if any(
-            rem[i] > cols_left * single_cap[i] or rem[i] < 0 for i in range(r)
-        ):
-            return False
+        def entries_of(rows, sub, entries):
+            spend()
+            pos = len(entries)
+            if pos == len(rows):
+                yield dict(zip(rows, entries))
+                return
+            if mode == MODE_COUPLED:
+                bounds, _picks, violation = coupled_chain(sub, entries)
+                cap = 0 if violation is not None else bounds[-1]
+            else:
+                cap = strict_caps[rows][pos]
+            i = rows[pos]
+            for v in range(min(cap, rem[i]), floor[i] - 1, -1):
+                entries.append(v)
+                yield from entries_of(rows, sub, entries)
+                entries.pop()
+
         for rows, sub in patterns:
-            if rows and any(rem[i] == 0 for i in rows):
-                continue
-            # rows this column skips must be coverable by the columns after it
-            if any(
+            # every row the pattern fills must still be open, and every row
+            # it skips coverable by the columns after it
+            if rows and any(rem[i] == 0 for i in rows) or any(
                 rem[i] > (cols_left - 1) * single_cap[i]
                 for i in range(r)
                 if i not in rows
             ):
                 continue
-            if not rows:
-                columns.append(tuple(0 for _ in range(r)))
-                if place(h + 1):
-                    return True
+            for column in entries_of(rows, sub, []) if rows else [{}]:
+                columns.append(column)
+                for i, v in column.items():
+                    rem[i] -= v
+                yield True
                 columns.pop()
-            elif fill_column(rows, sub, 0, []):
-                return True
-        return False
+                for i, v in column.items():
+                    rem[i] += v
 
-    try:
-        placed = place(0)
-    except RecursionError:
-        # nesting grows with m and the values; past the interpreter's
-        # limit the search gives up as it does on an exhausted budget
-        raise InfeasibleSpec(
-            "corner matrix search nested too deeply; " + _tightest_row(spec, m),
-            exhausted_budget=True,
-        ) from None
-    if placed:
-        return found[0]
-    raise InfeasibleSpec(
-        "no corner matrix exists for this spec; " + _tightest_row(spec, m)
-    )
+    # stack[h] places column h and keeps it applied while suspended
+    stack = []
+    while True:
+        spend()
+        if not any(rem):
+            return tuple(
+                tuple(col.get(i, 0) for col in columns) + (0,) * (m - len(columns))
+                for i in range(r)
+            )
+        stack.append(candidates())
+        while not next(stack[-1], False):
+            stack.pop()
+            if not stack:
+                raise InfeasibleSpec(
+                    "no corner matrix exists for this spec; " + _tightest_row(spec, m)
+                )
 
 
 def validate_corner_matrix(

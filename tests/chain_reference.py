@@ -4,18 +4,26 @@ construct_ideal builds every decided spec from its windows and picks.
 For first corner degree 2 and every value 1 the witness also has a
 closed form, one lex segment per corner degree with explicit ends; this
 module keeps it as the oracle the tests hold construct_ideal to, ideal
-for ideal.
+for ideal. variable, the monomial x_i that the closed form starts from,
+lives here since nothing in the package needs it.
 """
 
-from stablebetti.errors import SpecError
+from stablebetti.errors import BadRange, SpecError
 from stablebetti.ideals import MonomialIdeal
-from stablebetti.monomials import Monomial, degree, mul_var, unit, variable
+from stablebetti.monomials import Monomial, degree, mul_var, unit
 from stablebetti.realize_ideal import (
     CornerSpec,
     _require_admissible,
     _verify_realization,
 )
 from stablebetti.segments import lex_count, lex_unrank
+
+
+def variable(n: int, i: int) -> Monomial:
+    """The monomial x_i in n variables (i is 1-based)."""
+    if not 1 <= i <= n:
+        raise BadRange(f"variable index {i} outside 1..{n}")
+    return tuple(1 if t == i - 1 else 0 for t in range(n))
 
 
 def construct_degree2_chain(spec: CornerSpec) -> MonomialIdeal:

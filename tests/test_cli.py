@@ -286,9 +286,8 @@ def test_exhausted_search_budget_exits_1(monkeypatch):
 
 
 def test_deep_corner_matrix_searches_return():
-    # a search nests one call per column and per filled cell; a tail of
-    # empty columns is filled without nesting, and a search still too deep
-    # for the interpreter is refused like an exhausted budget
+    # the search walks its columns on an explicit stack, so neither a long
+    # tail of empty columns nor m full columns nest any deeper
     one = {"n": 4, "m": 990, "corners": [{"k": 2, "l": 2, "a": 1}]}
     code, out, err = invoke(["realize-module"], json.dumps(one))
     assert (code, err) == (0, "")
@@ -297,10 +296,23 @@ def test_deep_corner_matrix_searches_return():
     assert payload["fillers"] == list(range(2, 991))
     full = {"n": 4, "m": 400, "corners": [{"k": 2, "l": 2, "a": 1200}]}
     code, out, err = invoke(["realize-module"], json.dumps(full))
-    assert (code, out) == (1, "")
-    payload = json.loads(err)
-    assert payload["error"] == "InfeasibleSpec"
-    assert "nested too deeply" in payload["message"]
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["matrix"] == [[3] * 400]
+    assert payload["fillers"] == []
+
+
+def test_realize_module_refuses_more_components_than_it_builds():
+    # the matrix and the module hold one column per component
+    for m in (2_000_000_000, 10**20):
+        doc = {"n": 4, "m": m, "corners": [{"k": 2, "l": 2, "a": 1}]}
+        code, out, err = invoke(["realize-module"], json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "BudgetExceeded",
+            "message": f"a module spec allows m <= 10000, got {m}",
+        }
 
 
 def test_realize_module_filler_columns():

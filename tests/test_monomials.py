@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from chain_reference import variable
 from ideal_reference import divides
 
 from stablebetti import (
@@ -17,7 +18,6 @@ from stablebetti.monomials import (
     iter_degree,
     mul_var,
     unit,
-    variable,
 )
 
 

@@ -370,6 +370,12 @@ def test_census_members_are_strongly_stable_and_unique():
         key = ideal.to_json()
         assert key not in seen
         seen.add(key)
+    # members are built from generators that are already minimal and in
+    # canonical order
+    for n in range(1, 5):
+        for d in range(1, 5):
+            for ideal in enumerate_strongly_stable(n, d):
+                assert ideal == MonomialIdeal.from_generators(n, ideal.gens)
 
 
 def test_census_max_gens_filter():
@@ -386,6 +392,12 @@ def test_census_guard_rails_and_budget(monkeypatch):
         list(enumerate_strongly_stable(6, 2))
     with pytest.raises(BudgetExceeded):
         list(enumerate_strongly_stable(2, 7))
+    # n = 4 to degree 4 takes exactly 86,169 decisions
+    monkeypatch.setattr(oracle, "CENSUS_DECISIONS", 86_169)
+    assert len(list(enumerate_strongly_stable(4, 4))) == 9302
+    monkeypatch.setattr(oracle, "CENSUS_DECISIONS", 86_168)
+    with pytest.raises(BudgetExceeded):
+        list(enumerate_strongly_stable(4, 4))
     monkeypatch.setattr(oracle, "CENSUS_DECISIONS", 10)
     with pytest.raises(BudgetExceeded):
         list(enumerate_strongly_stable(3, 3))

@@ -2,10 +2,14 @@ import importlib
 from collections import Counter
 
 import pytest
+import search_reference
 from conftest import patch_everywhere, spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from normalize_reference import normalize_module
 
 from stablebetti import (
+    BudgetExceeded,
     Corner,
     InfeasibleSpec,
     MODE_COUPLED,
@@ -27,6 +31,8 @@ from stablebetti import (
     validate_corner_matrix,
     validate_module_spec,
 )
+from stablebetti.realize_module import MAX_COMPONENTS
+from stablebetti.segments import stratum_size
 
 
 def test_validate_module_spec_delegates_for_single_component():
@@ -44,6 +50,10 @@ def test_validate_module_spec_value_range():
     assert verdict.status == "rejected"
     # positions that the single-ideal rules exclude are fine for m > 1
     assert validate_module_spec(spec(3, [(1, 2)], [2]), 2).admissible
+    # one column per component is built, so m is capped
+    assert validate_module_spec(spec(4, [(2, 2)], [1]), MAX_COMPONENTS).admissible
+    with pytest.raises(BudgetExceeded, match="allows m <= 10000, got 10001"):
+        validate_module_spec(spec(4, [(2, 2)], [1]), MAX_COMPONENTS + 1)
 
 
 def test_column_bounds_match_single_ideal_bounds():
@@ -80,6 +90,38 @@ def test_find_corner_matrix_infeasible_and_budget():
     assert err.value.exhausted_budget
     with pytest.raises(UncoveredByCharacterization):
         find_corner_matrix(spec(3, [(1, 2)], [1]), 1)
+
+
+@st.composite
+def _module_searches(draw):
+    n = draw(st.integers(3, 8))
+    r = draw(st.integers(1, min(3, n - 1)))
+    ks = draw(st.lists(st.integers(1, n - 1), min_size=r, max_size=r, unique=True))
+    ls = draw(st.lists(st.integers(2, 10), min_size=r, max_size=r, unique=True))
+    pairs = list(zip(sorted(ks, reverse=True), sorted(ls)))
+    m = draw(st.integers(1, 4))
+    values = [draw(st.integers(1, m * stratum_size(k, l))) for k, l in pairs]
+    mode = draw(st.sampled_from([MODE_COUPLED, MODE_STRICT]))
+    return n, pairs, values, m, mode, draw(st.integers(1, 2000))
+
+
+def _search_outcome(search, n, pairs, values, m, mode, budget):
+    try:
+        return search(spec(n, pairs, values), m, mode, node_budget=budget)
+    except InfeasibleSpec as exc:
+        return str(exc), exc.exhausted_budget
+    except UncoveredByCharacterization as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_module_searches())
+def test_column_walk_matches_the_recursive_search(case):
+    # same matrix, or the same refusal; the small budgets pin the node
+    # accounting, since a budget refuses at the same node in both
+    assert _search_outcome(find_corner_matrix, *case) == _search_outcome(
+        search_reference.find_corner_matrix, *case
+    )
 
 
 def test_validate_corner_matrix_catches_bad_shapes_and_sums():
