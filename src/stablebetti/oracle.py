@@ -4,11 +4,14 @@ strongly stable ideals.
 koszul_betti computes exact graded Betti numbers from the homology of
 the Koszul complex, one monomial multidegree at a time, with no
 stability assumption; it is the outside check on the generator formula
-in betti.py. Each block's boundary maps are kept as sparse integer
-columns and ranked over Q by exact elimination that prefers unit
-pivots, and the lcm lattice is built on packed integers.
-enumerate_strongly_stable lists the small strongly stable ideals
-themselves, within guard rails and a decision budget.
+in betti.py. The lcm lattice is built and walked on packed integers; a
+point's total degree is unpacked only for a block with homology, and
+lcm_multidegrees is the sorted, unpacked view. Boundary maps are sparse
+integer columns from one table of signed faces, each checked for
+d(d) = 0 once per process, and are ranked over Q by exact elimination
+that prefers unit pivots. enumerate_strongly_stable lists the small
+strongly stable ideals themselves, within guard rails and a decision
+budget.
 
 The multidegree decomposition rests on two standard facts. Nonzero
 homology only occurs in multidegrees that are least common multiples of
@@ -84,6 +87,28 @@ def _faces(s: int) -> list[tuple[int, int]]:
     return out
 
 
+# Signed faces of each subset bitmask a block has used, as {face: sign}.
+# A subset enters only once d(d(e_s)) = 0 has been checked on its entry
+# and its faces' entries. Neither depends on the block's support size or
+# mask, so each subset is checked once per process, and the ranks read
+# the table that was checked.
+_faces_table: dict[int, dict[int, int]] = {}
+
+
+def _checked_faces(s: int) -> dict[int, int]:
+    faces = _faces_table.get(s)
+    if faces is None:
+        faces = dict(_faces(s))
+        acc: dict[int, int] = {}
+        for t, sign in faces.items():
+            for u, sign2 in _checked_faces(t).items():
+                acc[u] = acc.get(u, 0) + sign * sign2
+        if any(acc.values()):
+            raise AssertionError("Koszul boundary does not square to zero")
+        _faces_table[s] = faces
+    return faces
+
+
 # Homology dimensions of one block shape, keyed by support size and the
 # bitmask of valid subsets. Shapes repeat heavily across multidegrees and
 # across ideals, so the memo is shared module-wide.
@@ -98,33 +123,21 @@ def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
     for s in range(1 << p):
         if mask >> s & 1:
             by_size[s.bit_count()].append(s)
-    faces = {s: _faces(s) for level in by_size for s in level}
-    # The family is downward-closed, so d(d(e_s)) over the valid subsets s
-    # is exactly the product of consecutive boundary matrices, column by
-    # column.
-    for level in by_size[2:]:
-        for s in level:
-            acc: dict[int, int] = {}
-            for t, sign in faces[s]:
-                for u, sign2 in faces[t]:
-                    acc[u] = acc.get(u, 0) + sign * sign2
-            if any(acc.values()):
-                raise AssertionError("Koszul boundary does not square to zero")
     ranks = [0] * (p + 2)
     for i in range(1, p + 1):
-        ranks[i] = _rank([dict(faces[s]) for s in by_size[i]])
+        ranks[i] = _rank([_checked_faces(s) for s in by_size[i]])
     dims = tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(p + 1))
     _shape_homology_cache[(p, mask)] = dims
     return dims
 
 
-def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
-    """All least common multiples of non-empty generator subsets, sorted.
+def _lcm_points(ideal: MonomialIdeal) -> set[int]:
+    """All least common multiples of non-empty generator subsets, packed
+    as the ideal's generators are (MonomialIdeal.packed).
 
-    On the ideal's packed generators (MonomialIdeal.packed) an lcm is a
-    field-wise max: the guard bits of ge mark the fields where q >= g, and
-    keep widens them to whole fields, taken from q there and from g
-    elsewhere. The points are unpacked and sorted as tuples.
+    On packed monomials an lcm is a field-wise max: the guard bits of ge
+    mark the fields where q >= g, and keep widens them to whole fields,
+    taken from q there and from g elsewhere.
     """
     pk, _top, packed = ideal.packed
     guards, shift = pk.guards, pk.width - 1
@@ -137,8 +150,15 @@ def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
             for keep in [ge - (ge >> shift)]
         }
         pts.add(g)
-    field = (1 << shift) - 1
-    return sorted(tuple(q >> s & field for s in pk.shifts) for q in pts)
+    return pts
+
+
+def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
+    """All least common multiples of non-empty generator subsets, sorted:
+    the unpacked view of the packed lattice the Koszul pass walks."""
+    pk = ideal.packed[0]
+    field = (1 << (pk.width - 1)) - 1
+    return sorted(tuple(q >> s & field for s in pk.shifts) for q in _lcm_points(ideal))
 
 
 # Down-set tables keyed by (support guards, free guards), as built in
@@ -173,7 +193,8 @@ def _down_set(supp_guards: int, free_guards: int) -> int:
 
 
 def _point_masks(ideal: MonomialIdeal):
-    """Yield (a, p, mask) for each lcm point a of a nonzero ideal.
+    """Yield (a, p, mask) for each lcm point a of a nonzero ideal, in no
+    particular order, with a packed as the generators are (_lcm_points).
 
     p is the support size of a, and bit s of mask is set when a - e_S
     lies in the ideal, S being the support positions picked by the bits
@@ -182,14 +203,13 @@ def _point_masks(ideal: MonomialIdeal):
     a, so one pass over the generators replaces a membership test per
     subset; no stability is assumed.
 
-    Each point is packed as the ideal's generators are (MonomialIdeal.packed),
-    so a field-wise comparison of all variables is one subtraction: the
+    A field-wise comparison of all variables is one subtraction: the
     guard bit of a field survives (a | guards) - g exactly when a_t >= g_t.
     """
     pk, _top, packed = ideal.packed
     lows, guards = pk.lows, pk.guards
-    for a in lcm_multidegrees(ideal):
-        top = pk.pack(a) | guards
+    for a in _lcm_points(ideal):
+        top = a | guards
         supp_guards = (top - lows) & guards
         p = supp_guards.bit_count()
         below = top - (supp_guards >> (pk.width - 1))  # g_t < a_t iff g_t <= below_t
@@ -207,14 +227,19 @@ def _point_masks(ideal: MonomialIdeal):
 
 def _ideal_tor(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
     """dim Tor_i(I, k)_j for a monomial ideal, keys (i, j), zeros omitted."""
+    pk = ideal.packed[0]
+    field = (1 << (pk.width - 1)) - 1
     out: dict[tuple[int, int], int] = {}
     for a, p, mask in _point_masks(ideal):
         if p and mask >> ((1 << p) - 1) & 1:
             # a - (1, ..., 1) on a non-empty support is in I: a simplex
             # block (the empty support of the unit ideal's point is not)
             continue
-        j = sum(a)
-        for i, dim in enumerate(_shape_homology(p, mask)):
+        dims = _shape_homology(p, mask)
+        if not any(dims):
+            continue
+        j = sum(a >> s & field for s in pk.shifts)  # the total degree of a
+        for i, dim in enumerate(dims):
             if dim:
                 key = (i, j)
                 out[key] = out.get(key, 0) + dim

@@ -303,17 +303,22 @@ def construct_module(
     m = len(matrix[0])
     components: list[MonomialIdeal] = []
     columns: list[IdealRealization | None] = []
+    # equal columns share one construction, and empty ones one filler
+    built: dict[tuple[tuple[int, ...], tuple[int, ...]], IdealRealization] = {}
+    filler = None
     for h in range(m):
         rows = tuple(i for i in range(spec.r) if matrix[i][h])
         if not rows:
-            components.append(
-                filler_ideal(spec.n, spec.corners[0].ell, spec.corners[-1].k)
-            )
+            if filler is None:
+                filler = filler_ideal(spec.n, spec.corners[0].ell, spec.corners[-1].k)
+            components.append(filler)
             columns.append(None)
             continue
-        # the sub-spec validate_corner_matrix checked, windows and all
-        sub = spec.sub_spec(rows, [matrix[i][h] for i in rows])
-        realization = construct_ideal(sub, mode)
+        key = (rows, tuple(matrix[i][h] for i in rows))
+        realization = built.get(key)
+        if realization is None:
+            # the sub-spec validate_corner_matrix checked, windows and all
+            realization = built[key] = construct_ideal(spec.sub_spec(*key), mode)
         components.append(realization.ideal)
         columns.append(realization)
     module = MonomialSubmodule(spec.n, tuple(components))

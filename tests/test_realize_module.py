@@ -212,6 +212,36 @@ def test_construct_module_builds_each_column_window_once(monkeypatch):
     assert len(set(bottoms)) == len(bottoms)
 
 
+def test_construct_module_builds_each_distinct_column_once(monkeypatch):
+    # two equal columns share one construction and its verification, and
+    # two empty ones one filler
+    module = importlib.import_module("stablebetti.realize_module")
+    built, fillers = [], []
+
+    def counting_construct(sub, mode):
+        built.append((sub.corners, sub.values))
+        return original_construct(sub, mode)
+
+    def counting_filler(*args):
+        fillers.append(args)
+        return original_filler(*args)
+
+    original_construct = module.construct_ideal
+    original_filler = module.filler_ideal
+    monkeypatch.setattr(module, "construct_ideal", counting_construct)
+    monkeypatch.setattr(module, "filler_ideal", counting_filler)
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 7, 2])
+    matrix = ((1, 0, 1, 1, 0), (3, 0, 3, 1, 0), (1, 0, 1, 0, 0))
+    out = construct_module(s, matrix)
+    assert out.matrix == matrix
+    assert built == [(s.corners, (1, 3, 1)), (s.corners[:2], (1, 1))]
+    assert len(fillers) == 1
+    assert out.columns[0] is out.columns[2]
+    assert out.columns[1] is None and out.columns[4] is None
+    assert out.module.components[1] == out.module.components[4]
+    assert corner_matrix(out.module).rows == matrix
+
+
 def test_filler_ideal_is_corner_invisible():
     filler = filler_ideal(6, 2, 2)
     assert filler == MonomialIdeal.from_strings(6, ["x1", "x2", "x3"])
