@@ -56,7 +56,6 @@ from .realize_ideal import (
     BoundReport,
     CornerSpec,
     IdealRealization,
-    PositionVerdict,
     ValueVerdict,
     check_values,
     compute_bounds,
@@ -98,7 +97,6 @@ __all__ = [
     "MonomialSyntaxError",
     "ModuleRealization",
     "NotStable",
-    "PositionVerdict",
     "SpecError",
     "StableBettiError",
     "UncoveredByCharacterization",

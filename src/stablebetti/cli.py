@@ -3,13 +3,14 @@
 Every subcommand reads JSON (from --input, "-" for stdin), writes one
 deterministic JSON document to stdout (census writes one compact JSON
 line per ideal, diagram writes plain text), and reports failures as a
-single JSON object on stderr. Exit codes sort failures by kind:
+single JSON object on stderr. Exit codes sort failures by kind; each error
+class carries its code as exit_code (errors.py), other failures exit 1:
 
     0  success (including check-stable reporting an unstable input)
-    1  bad input, bad usage, I/O trouble, or an exhausted budget
-    2  infeasible spec, unstable input where stability is required
-    3  corner positions outside the decided first-degree-2 cases
-    4  a constructed witness failed its own verification
+    1  any other error: bad input or usage, I/O trouble, an exhausted budget
+    2  InfeasibleSpec (infeasible spec), NotStable (stability required)
+    3  UncoveredByCharacterization (positions outside the decided cases)
+    4  VerificationFailed (a witness failed its own verification)
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from .betti import (
     module_corner_report,
     render_diagram,
 )
-from .errors import (
-    InfeasibleSpec,
-    NotStable,
-    StableBettiError,
-    UncoveredByCharacterization,
-    VerificationFailed,
-    json_document,
-)
+from .errors import StableBettiError, json_document
 from .ideals import parse_module_or_ideal
 from .monomials import format_monomial
 from .oracle import enumerate_strongly_stable, koszul_betti
@@ -217,8 +211,9 @@ def _cmd_oracle_betti(args, stdout, stdin) -> int:
 def _spec_and_mode(args, stdin) -> tuple[CornerSpec, str, dict]:
     obj = json_document(_read_input(args.input, stdin))
     spec = CornerSpec.from_obj(obj)
-    mode = args.mode or (obj.get("mode") if isinstance(obj, dict) else None)
-    return spec, _check_mode(mode or MODE_COUPLED), obj
+    # only an absent "mode" key means coupled; a present one must name a mode
+    mode = args.mode or obj.get("mode", MODE_COUPLED)
+    return spec, _check_mode(mode), obj
 
 
 def _cmd_realize_ideal(args, stdout, stdin) -> int:
@@ -251,18 +246,6 @@ def _cmd_census(args, stdout, stdin) -> int:
     return 0
 
 
-def _exit_code(exc: BaseException) -> int:
-    if isinstance(exc, VerificationFailed):
-        return 4
-    if isinstance(exc, UncoveredByCharacterization):
-        return 3
-    if isinstance(exc, InfeasibleSpec) and exc.exhausted_budget:
-        return 1
-    if isinstance(exc, (NotStable, InfeasibleSpec)):
-        return 2
-    return 1
-
-
 def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     """Run one command line and return its exit code. It may be called
     repeatedly in one process: all calls share one parser, never mutated."""
@@ -293,7 +276,7 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
             sort_keys=True,
         )
         stderr.write("\n")
-        return _exit_code(exc)
+        return getattr(exc, "exit_code", 1)
 
 
 def main() -> None:

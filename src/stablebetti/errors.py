@@ -6,7 +6,9 @@ import json
 
 
 class StableBettiError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; exit_code is the CLI's exit status."""
+
+    exit_code = 1
 
 
 def json_int(value, what: str, error: type[StableBettiError]) -> int:
@@ -42,6 +44,8 @@ class BadDegree(StableBettiError):
 class NotStable(StableBettiError):
     """Betti formula applied to a non-stable component."""
 
+    exit_code = 2
+
     def __init__(self, message: str, component: int, generator=None, move=None):
         super().__init__(message)
         self.component = component
@@ -60,14 +64,22 @@ class SpecError(StableBettiError):
 class InfeasibleSpec(StableBettiError):
     """No witness exists (or none within the search budget)."""
 
+    exit_code = 2
+
     def __init__(self, message: str, exhausted_budget: bool = False):
         super().__init__(message)
         self.exhausted_budget = exhausted_budget
+        if exhausted_budget:  # an exhausted budget is no verdict on the spec
+            self.exit_code = 1
 
 
 class UncoveredByCharacterization(StableBettiError):
     """Spec falls outside the region the characterization decides."""
 
+    exit_code = 3
+
 
 class VerificationFailed(StableBettiError):
     """A constructed witness failed its mandatory self-check."""
+
+    exit_code = 4

@@ -23,6 +23,7 @@ support divides out are simplex complexes and contribute nothing.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, inf
 
 from .betti import BettiTable
@@ -87,38 +88,28 @@ def _faces(s: int) -> list[tuple[int, int]]:
     return out
 
 
-# Signed faces of each subset bitmask a block has used, as {face: sign}.
-# A subset enters only once d(d(e_s)) = 0 has been checked on its entry
-# and its faces' entries. Neither depends on the block's support size or
-# mask, so each subset is checked once per process, and the ranks read
-# the table that was checked.
-_faces_table: dict[int, dict[int, int]] = {}
-
-
+@cache
 def _checked_faces(s: int) -> dict[int, int]:
-    faces = _faces_table.get(s)
-    if faces is None:
-        faces = dict(_faces(s))
-        acc: dict[int, int] = {}
-        for t, sign in faces.items():
-            for u, sign2 in _checked_faces(t).items():
-                acc[u] = acc.get(u, 0) + sign * sign2
-        if any(acc.values()):
-            raise AssertionError("Koszul boundary does not square to zero")
-        _faces_table[s] = faces
+    """Signed faces of the subset bitmask s, as {face: sign}, once
+    d(d(e_s)) = 0 has been checked on its entry and its faces' entries.
+    Neither depends on a block's support size or mask, so each subset is
+    checked once per process (a raise caches nothing), and the ranks read
+    the table that was checked. Callers must not mutate the result."""
+    faces = dict(_faces(s))
+    acc: dict[int, int] = {}
+    for t, sign in faces.items():
+        for u, sign2 in _checked_faces(t).items():
+            acc[u] = acc.get(u, 0) + sign * sign2
+    if any(acc.values()):
+        raise AssertionError("Koszul boundary does not square to zero")
     return faces
 
 
-# Homology dimensions of one block shape, keyed by support size and the
-# bitmask of valid subsets. Shapes repeat heavily across multidegrees and
-# across ideals, so the memo is shared module-wide.
-_shape_homology_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@cache
 def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
-    cached = _shape_homology_cache.get((p, mask))
-    if cached is not None:
-        return cached
+    """Homology dimensions of one block shape: support size p and the
+    bitmask of valid subsets. Shapes repeat heavily across multidegrees
+    and across ideals, so the memo lasts the process."""
     by_size: list[list[int]] = [[] for _ in range(p + 1)]
     for s in range(1 << p):
         if mask >> s & 1:
@@ -126,9 +117,7 @@ def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
     ranks = [0] * (p + 2)
     for i in range(1, p + 1):
         ranks[i] = _rank([_checked_faces(s) for s in by_size[i]])
-    dims = tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(p + 1))
-    _shape_homology_cache[(p, mask)] = dims
-    return dims
+    return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(p + 1))
 
 
 def _lcm_points(ideal: MonomialIdeal) -> set[int]:
@@ -161,34 +150,29 @@ def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
     return sorted(tuple(q >> s & field for s in pk.shifts) for q in _lcm_points(ideal))
 
 
-# Down-set tables keyed by (support guards, free guards), as built in
-# _point_masks: bit s of the table is set exactly when the subset s of
-# support positions lies inside the free ones. The free guards are a
-# subset of the support guards, so there are at most 3^n keys per field
-# width (the two n = 8 chain fixtures make 1,551).
-_down_set_cache: dict[tuple[int, int], int] = {}
-
-
+@cache
 def _down_set(supp_guards: int, free_guards: int) -> int:
-    table = _down_set_cache.get((supp_guards, free_guards))
-    if table is None:
-        free = 0
-        rest = supp_guards
-        b = 0
-        while rest:
-            low = rest & -rest
-            if free_guards & low:
-                free |= 1 << b
-            rest ^= low
-            b += 1
-        table = 0
-        s = free
-        while True:
-            table |= 1 << s
-            if not s:
-                break
-            s = (s - 1) & free
-        _down_set_cache[(supp_guards, free_guards)] = table
+    """Down-set table of (support guards, free guards), as built in
+    _point_masks: bit s is set exactly when the subset s of support
+    positions lies inside the free ones. The free guards are a subset of
+    the support guards, so there are at most 3^n keys per field width
+    (the two n = 8 chain fixtures make 1,551)."""
+    free = 0
+    rest = supp_guards
+    b = 0
+    while rest:
+        low = rest & -rest
+        if free_guards & low:
+            free |= 1 << b
+        rest ^= low
+        b += 1
+    table = 0
+    s = free
+    while True:
+        table |= 1 << s
+        if not s:
+            break
+        s = (s - 1) & free
     return table
 
 

@@ -94,12 +94,17 @@ class CornerSpec:
     def r(self) -> int:
         return len(self.corners)
 
+    @property
+    def covered(self) -> bool:
+        """False for first degree 2 with final position 1, the undecided case."""
+        return self.corners[0].ell != 2 or self.corners[-1].k != 1
+
     @cached_property
     def _window_extents(self) -> tuple[tuple[Monomial, int], ...]:
         """Per corner, the window A_i as (bottom, size): the peak-stratum
         members from the top down to the corner's least admissible one.
         An uncovered spec raises on every use (nothing is cached then)."""
-        _require_admissible(self)
+        validate_positions(self)
         t = _tail_index(self)
         out = []
         for i, c in enumerate(self.corners):
@@ -155,44 +160,21 @@ class CornerSpec:
         return cls(json_int(obj["n"], '"n"', SpecError), corners, values)
 
 
-ADMISSIBLE = "admissible"
-REJECTED = "rejected"
-UNCOVERED = "uncovered"
-
-
-@dataclass(frozen=True)
-class PositionVerdict:
-    status: str
-    reason: str | None = None
-
-    @property
-    def admissible(self) -> bool:
-        return self.status == ADMISSIBLE
-
-
-def validate_positions(spec: CornerSpec) -> PositionVerdict:
-    """Screen corner positions; rejection is a verdict, not an error.
+def validate_positions(spec: CornerSpec) -> None:
+    """Raise UncoveredByCharacterization unless spec.covered.
 
     With first degree >= 3 every well-formed position sequence passes.
     With first degree 2 a final homological position of 1 falls outside
-    the decided cases (UNCOVERED). The characterization also needs the
-    first position to be n-1 once r reaches n-2, but a well-formed spec
-    meets that already: r = n-2 decreasing positions in 2..n-1 start at
-    n-1. So no well-formed position sequence is rejected.
+    the decided cases. The characterization also needs the first position
+    to be n-1 once r reaches n-2, but a well-formed spec meets that
+    already: r = n-2 decreasing positions in 2..n-1 start at n-1. So no
+    well-formed position sequence is infeasible.
     """
-    if spec.corners[0].ell == 2 and spec.corners[-1].k == 1:
-        return PositionVerdict(
-            UNCOVERED,
+    if not spec.covered:
+        raise UncoveredByCharacterization(
             "first corner degree 2 with final homological position 1 is "
-            "outside the decided cases",
+            "outside the decided cases"
         )
-    return PositionVerdict(ADMISSIBLE)
-
-
-def _require_admissible(spec: CornerSpec) -> None:
-    verdict = validate_positions(spec)
-    if verdict.status == UNCOVERED:
-        raise UncoveredByCharacterization(verdict.reason)
 
 
 def _tail_index(spec: CornerSpec) -> int:

@@ -34,14 +34,10 @@ from .errors import (
 from .ideals import MonomialIdeal, MonomialSubmodule
 from .monomials import mul_var, unit
 from .realize_ideal import (
-    ADMISSIBLE,
     MODE_COUPLED,
     MODE_STRICT,
-    REJECTED,
-    UNCOVERED,
     CornerSpec,
     IdealRealization,
-    PositionVerdict,
     _check_mode,
     _corner_text,
     check_values,
@@ -59,13 +55,13 @@ CornerMatrix = tuple[tuple[int, ...], ...]
 MAX_COMPONENTS = 10_000
 
 
-def validate_module_spec(spec: CornerSpec, m: int) -> PositionVerdict:
-    """Screen a spec for m components.
+def validate_module_spec(spec: CornerSpec, m: int) -> None:
+    """Screen a spec for m components; a spec that fails raises.
 
     m = 1 defers to the single-ideal position rules. For m > 1 the
-    positions themselves are unconstrained and only the per-corner value
-    range 1 <= a_i <= m * C(k_i + l_i - 1, l_i - 1) is checked. An m
-    above MAX_COMPONENTS raises BudgetExceeded.
+    positions themselves are unconstrained and a value above
+    m * C(k_i + l_i - 1, l_i - 1) raises InfeasibleSpec. An m above
+    MAX_COMPONENTS raises BudgetExceeded.
     """
     if json_int(m, "m", SpecError) < 1:
         raise SpecError(f"need m >= 1, got {m}")
@@ -76,12 +72,10 @@ def validate_module_spec(spec: CornerSpec, m: int) -> PositionVerdict:
     for c, a in zip(spec.corners, spec.values):
         cap = m * stratum_size(c.k, c.ell)
         if a > cap:
-            return PositionVerdict(
-                REJECTED,
+            raise InfeasibleSpec(
                 f"corner (k={c.k}, l={c.ell}) requests {a}, above the "
-                f"{m}-component cap {cap}",
+                f"{m}-component cap {cap}"
             )
-    return PositionVerdict(ADMISSIBLE)
 
 
 def _admissible_patterns(spec: CornerSpec):
@@ -98,7 +92,7 @@ def _admissible_patterns(spec: CornerSpec):
             out.append((rows, None))
             continue
         sub = spec.sub_spec(rows, values=tuple(1 for _ in rows))
-        if validate_positions(sub).admissible:
+        if sub.covered:
             out.append((rows, sub))
     return out
 
@@ -129,11 +123,7 @@ def find_corner_matrix(
     exhausted_budget set, when the node budget ran out first).
     """
     _check_mode(mode)
-    verdict = validate_module_spec(spec, m)
-    if verdict.status == UNCOVERED:
-        raise UncoveredByCharacterization(verdict.reason)
-    if not verdict.admissible:
-        raise InfeasibleSpec(verdict.reason)
+    validate_module_spec(spec, m)
     r = spec.r
     patterns = _admissible_patterns(spec)
     strict_caps = (
@@ -226,7 +216,7 @@ def validate_corner_matrix(
     if len(matrix) != r or len({len(row) for row in matrix}) != 1:
         return False, f"matrix must have {r} equal-length rows"
     m = len(matrix[0])
-    if any(not isinstance(v, int) or v < 0 for row in matrix for v in row):
+    if any(type(v) is not int or v < 0 for row in matrix for v in row):
         return False, "matrix entries must be non-negative integers"
     for i, row in enumerate(matrix):
         if sum(row) != spec.values[i]:
@@ -241,7 +231,7 @@ def validate_corner_matrix(
         sub = spec.sub_spec(rows, [matrix[i][h] for i in rows])
         try:  # check_values screens the positions before anything else
             verdict = check_values(sub, mode)
-        except (InfeasibleSpec, UncoveredByCharacterization) as exc:
+        except UncoveredByCharacterization as exc:
             return (
                 False,
                 f"column {h + 1} pattern {rows} fails position screening: {exc}",

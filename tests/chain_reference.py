@@ -13,8 +13,8 @@ from stablebetti.ideals import MonomialIdeal
 from stablebetti.monomials import Monomial, degree, mul_var, unit
 from stablebetti.realize_ideal import (
     CornerSpec,
-    _require_admissible,
     _verify_realization,
+    validate_positions,
 )
 from stablebetti.segments import lex_count, lex_unrank
 
@@ -39,7 +39,7 @@ def construct_degree2_chain(spec: CornerSpec) -> MonomialIdeal:
         raise SpecError("the chain constructor needs first corner degree 2")
     if any(a != 1 for a in spec.values):
         raise SpecError("the chain constructor needs every corner value 1")
-    _require_admissible(spec)
+    validate_positions(spec)
     n = spec.n
     r = spec.r
     ks = [c.k for c in spec.corners]

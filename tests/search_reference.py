@@ -8,11 +8,10 @@ refusal message and exhausted_budget flag, on small specs. Past the
 interpreter's recursion limit it gives up as it does on a spent budget.
 """
 
-from stablebetti.errors import InfeasibleSpec, UncoveredByCharacterization
+from stablebetti.errors import InfeasibleSpec
 from stablebetti.realize_ideal import (
     MODE_COUPLED,
     MODE_STRICT,
-    UNCOVERED,
     CornerSpec,
     _check_mode,
     compute_bounds,
@@ -41,11 +40,7 @@ def find_corner_matrix(
     search nested past the interpreter's recursion limit).
     """
     _check_mode(mode)
-    verdict = validate_module_spec(spec, m)
-    if verdict.status == UNCOVERED:
-        raise UncoveredByCharacterization(verdict.reason)
-    if not verdict.admissible:
-        raise InfeasibleSpec(verdict.reason)
+    validate_module_spec(spec, m)
     r = spec.r
     patterns = _admissible_patterns(spec)
     strict_caps = (

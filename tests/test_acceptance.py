@@ -40,7 +40,6 @@ from stablebetti import (
     module_corner_report,
     realize_module,
     stratum_size,
-    validate_positions,
 )
 from stablebetti.cli import run
 
@@ -141,7 +140,7 @@ def _sample_positions(rng):
             tuple(Corner(k, l) for k, l in zip(ks, ells)),
             tuple(1 for _ in range(r)),
         )
-        if validate_positions(spec).admissible:
+        if spec.covered:
             return spec
 
 
@@ -164,7 +163,7 @@ def _sample_module_spec(rng):
         for bits in range(1, 1 << pos.r):
             rows = tuple(i for i in range(pos.r) if bits >> i & 1)
             sub = pos.sub_spec(rows, values=tuple(1 for _ in rows))
-            if validate_positions(sub).admissible:
+            if sub.covered:
                 patterns.append(rows)
         totals = [0] * pos.r
         for _h in range(m):
@@ -208,7 +207,7 @@ def _all_admissible_positions(n, max_ell):
                     tuple(Corner(k, l) for k, l in zip(reversed(ks), ells)),
                     tuple(1 for _ in range(r)),
                 )
-                if validate_positions(spec).admissible:
+                if spec.covered:
                     out.append(spec)
     return out
 

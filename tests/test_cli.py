@@ -2,7 +2,9 @@ import functools
 import io
 import itertools
 import json
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ideal_reference import borel_closure
@@ -11,6 +13,7 @@ from stablebetti import (
     InfeasibleSpec,
     NotStable,
     SpecError,
+    StableBettiError,
     UncoveredByCharacterization,
     VerificationFailed,
     __version__,
@@ -19,7 +22,7 @@ from stablebetti import (
     realize_module,
 )
 from stablebetti import errors, oracle
-from stablebetti.cli import _exit_code, _UsageError, run
+from stablebetti.cli import _UsageError, run
 from stablebetti.monomials import format_monomial
 from test_cli_snapshot import CASES, EXPECTED, _snapshot
 
@@ -236,6 +239,21 @@ def test_realize_ideal_mode_flag_beats_file_key():
     assert json.loads(out)["mode"] == "coupled"
 
 
+@pytest.mark.parametrize("command", ["realize-ideal", "realize-module"])
+@pytest.mark.parametrize("mode", ["", False, 0, {}, [], None])
+def test_a_present_mode_key_must_name_a_mode(command, mode):
+    # only an absent "mode" key defaults to coupled; a falsy one is no mode
+    doc = json.dumps(SPEC3 | {"m": 2, "mode": mode})
+    code, out, err = invoke([command], doc)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "SpecError"
+    assert payload["message"].startswith(f"unknown mode {mode!r}")
+    # --mode still wins over the key
+    code, out, _err = invoke([command, "--mode", "coupled"], doc)
+    assert code == 0 and json.loads(out)["mode"] == "coupled"
+
+
 def test_realize_module_needs_m():
     code, _out, err = invoke(["realize-module"], json.dumps(SPEC3))
     assert code == 1
@@ -362,12 +380,35 @@ def test_census_past_its_decision_budget_exits_1(monkeypatch):
 
 
 def test_exit_code_mapping():
-    assert _exit_code(VerificationFailed("x")) == 4
-    assert _exit_code(UncoveredByCharacterization("x")) == 3
-    assert _exit_code(NotStable("x", 1)) == 2
-    assert _exit_code(InfeasibleSpec("x")) == 2
-    assert _exit_code(InfeasibleSpec("x", exhausted_budget=True)) == 1
-    assert _exit_code(SpecError("x")) == 1
+    assert VerificationFailed("x").exit_code == 4
+    assert UncoveredByCharacterization("x").exit_code == 3
+    assert NotStable("x", 1).exit_code == 2
+    assert InfeasibleSpec("x").exit_code == 2
+    assert InfeasibleSpec("x", exhausted_budget=True).exit_code == 1
+    assert SpecError("x").exit_code == 1
+
+
+def _error_classes(cls=StableBettiError) -> list[type]:
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+def test_exit_code_table_in_the_cli_docstring_matches_the_error_classes():
+    rows = dict(re.findall(r"^    (\d)  (.+)$", cli.__doc__, re.M))
+    assert sorted(rows) == ["0", "1", "2", "3", "4"]
+    classes = {cls.__name__: cls for cls in _error_classes()}
+    assert len(classes) == 10
+    named = {
+        name: int(code)
+        for code, text in rows.items()
+        for name in re.findall(r"\b[A-Z][a-z]+[A-Z]\w*", text)
+    }
+    assert set(named) <= set(classes)
+    assert len(named) == 4
+    # a class the table does not name falls under "any other error", 1
+    for name, cls in classes.items():
+        assert cls.exit_code == named.get(name, 1), name
+    assert "exhausted budget" in rows["1"]
+    assert InfeasibleSpec("x", exhausted_budget=True).exit_code == 1
 
 
 _ODD_LEAF = st.none() | st.booleans() | st.just(1.5) | st.sampled_from(["", "k", "ab"])
@@ -519,12 +560,13 @@ _ERROR_CLASSES = {
 
 
 def _expected_exit(payload) -> int:
-    # _exit_code reads the class and, for InfeasibleSpec, the budget flag
+    # each error class carries its exit code, and an InfeasibleSpec's also
+    # reads the budget flag; an error outside the package exits 1
     cls = _ERROR_CLASSES[payload["error"]]
     if cls is InfeasibleSpec:
         exhausted = "budget exhausted" in payload["message"]
-        return _exit_code(InfeasibleSpec(payload["message"], exhausted_budget=exhausted))
-    return _exit_code(cls.__new__(cls))
+        return InfeasibleSpec(payload["message"], exhausted_budget=exhausted).exit_code
+    return getattr(cls, "exit_code", 1)
 
 
 @settings(deadline=None, max_examples=400)

@@ -36,7 +36,6 @@ from stablebetti import (
     koszul_betti,
     lcm_multidegrees,
     parse_monomial,
-    validate_positions,
 )
 from stablebetti import oracle
 from stablebetti.betti import Corner
@@ -144,7 +143,7 @@ def test_rank_over_q_on_the_projective_plane(monkeypatch):
     ]
     tops = [sum(1 << v for v in t) for t in triangles]
     mask = _down_closure(6, tops)
-    monkeypatch.setattr(oracle, "_shape_homology_cache", {})
+    oracle._shape_homology.cache_clear()
     assert oracle._shape_homology(6, mask) == (0,) * 7
     assert dense_shape_homology(6, mask) == (0,) * 7
     # The boundary of all triangles together is twice a cycle, so a column
@@ -346,8 +345,8 @@ def test_koszul_matches_generator_formula_on_borel_closures(case):
     assert koszul_betti(ideal) == ek_betti(ideal)
 
 
-def test_shape_homology_matches_dense_on_every_small_shape(monkeypatch):
-    monkeypatch.setattr(oracle, "_shape_homology_cache", {})
+def test_shape_homology_matches_dense_on_every_small_shape():
+    oracle._shape_homology.cache_clear()
     counts = []
     for p in range(5):
         masks = list(downward_closed_masks(p))
@@ -359,15 +358,17 @@ def test_shape_homology_matches_dense_on_every_small_shape(monkeypatch):
 
 
 def test_shape_homology_refuses_a_boundary_that_does_not_square_to_zero(
-    monkeypatch,
+    monkeypatch, request
 ):
     def unsigned_faces(s):
         return [(face, 1) for face, _sign in oracle_faces(s)]
 
     oracle_faces = oracle._faces
-    # every memo that could hold a subset checked earlier in the process
-    monkeypatch.setattr(oracle, "_shape_homology_cache", {})
-    monkeypatch.setattr(oracle, "_faces_table", {})
+    # every memo that could hold a subset checked earlier in the process,
+    # emptied again afterwards so no unsigned table outlives the test
+    for memo in (oracle._shape_homology, oracle._checked_faces):
+        memo.cache_clear()
+        request.addfinalizer(memo.cache_clear)
     monkeypatch.setattr(oracle, "_faces", unsigned_faces)
     with pytest.raises(AssertionError, match="does not square to zero"):
         oracle._shape_homology(2, 0b1111)
@@ -513,7 +514,7 @@ def _positions(draw, max_n):
     steps = draw(st.lists(st.integers(1, 2), min_size=r - 1, max_size=r - 1))
     ells = itertools.accumulate([first] + steps)
     pos = spec(n, zip(reversed(ks), ells), [1] * r)
-    assume(validate_positions(pos).admissible)
+    assume(pos.covered)
     return pos
 
 
@@ -542,7 +543,7 @@ def test_koszul_confirms_every_module_witness(pos, m, data):
         rows
         for bits in range(1, 1 << pos.r)
         for rows in [tuple(i for i in range(pos.r) if bits >> i & 1)]
-        if validate_positions(pos.sub_spec(rows)).admissible
+        if pos.sub_spec(rows).covered
     ]
     matrix = [[0] * m for _ in range(pos.r)]
     for h in range(m):

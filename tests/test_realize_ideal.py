@@ -73,30 +73,41 @@ def test_sub_spec():
     assert override.values == (7,)
 
 
+def _assert_covered(s):
+    assert s.covered
+    validate_positions(s)  # does not raise
+
+
+def _assert_uncovered(s):
+    assert not s.covered
+    with pytest.raises(UncoveredByCharacterization, match="outside the decided cases"):
+        validate_positions(s)
+
+
 def test_validate_positions_branches():
-    assert validate_positions(spec(6, [(5, 3)], [1])).admissible
-    assert validate_positions(spec(6, [(5, 2), (3, 3)], [1, 1])).admissible
-    uncovered = validate_positions(spec(3, [(1, 2)], [1]))
-    assert uncovered.status == "uncovered"
-    assert validate_positions(spec(4, [(2, 2), (1, 3)], [1, 1])).status == "uncovered"
-    assert validate_positions(spec(5, [(3, 2), (2, 3), (1, 4)], [1, 1, 1])).status == "uncovered"
+    _assert_covered(spec(6, [(5, 3)], [1]))
+    _assert_covered(spec(6, [(5, 2), (3, 3)], [1, 1]))
+    _assert_uncovered(spec(3, [(1, 2)], [1]))
+    _assert_uncovered(spec(4, [(2, 2), (1, 3)], [1, 1]))
+    _assert_uncovered(spec(5, [(3, 2), (2, 3), (1, 4)], [1, 1, 1]))
     # r = n - 2 with final position >= 2 forces the first position to be
     # n - 1 arithmetically, so the longest first-degree-2 chains pass
-    maxed = validate_positions(spec(5, [(4, 2), (3, 3), (2, 4)], [1, 1, 1]))
-    assert maxed.admissible
-    assert validate_positions(spec(5, [(3, 2), (2, 3)], [1, 1])).admissible
+    _assert_covered(spec(5, [(4, 2), (3, 3), (2, 4)], [1, 1, 1]))
+    _assert_covered(spec(5, [(3, 2), (2, 3)], [1, 1]))
 
 
 def test_no_well_formed_first_degree_2_positions_are_rejected():
-    # the verdict reads only n, the positions and the first degree, so
+    # the screen reads only n, the positions and the first degree, so
     # degrees 2, 3, ... cover every first-degree-2 position sequence
     seen = 0
     for n in range(2, 11):
         for r in range(1, n):
             for ks in itertools.combinations(range(n - 1, 0, -1), r):
                 s = spec(n, zip(ks, range(2, 2 + r)), [1] * r)
-                status = validate_positions(s).status
-                assert status == ("uncovered" if ks[-1] == 1 else "admissible")
+                if ks[-1] == 1:
+                    _assert_uncovered(s)
+                else:
+                    _assert_covered(s)
                 seen += 1
     assert seen == 1013
 
@@ -155,7 +166,7 @@ def test_strict_acceptance_implies_coupled_acceptance():
             ks.add(rng.randint(1, n - 1))
         pairs = list(zip(sorted(ks, reverse=True), sorted(ls)))
         probe = spec(n, pairs, [1] * r)
-        if not validate_positions(probe).admissible:
+        if not probe.covered:
             continue
         bounds = compute_bounds(probe).bounds
         if any(b < 1 for b in bounds):
@@ -303,7 +314,7 @@ def _admissible_specs(draw):
     ls = list(itertools.accumulate([first] + steps))
     values = draw(st.lists(st.integers(1, 12), min_size=r, max_size=r))
     s = spec(n, zip(reversed(ks), ls), values)
-    assume(validate_positions(s).admissible)
+    assume(s.covered)
     return s
 
 
@@ -417,7 +428,7 @@ def _unit_chain_specs(draw):
 @settings(deadline=None, max_examples=200)
 @given(_unit_chain_specs(), st.sampled_from(MODES))
 def test_construct_ideal_equals_the_closed_form_chain(s, mode):
-    if not validate_positions(s).admissible:
+    if not s.covered:
         with pytest.raises(UncoveredByCharacterization):
             chain_reference.construct_degree2_chain(s)
         with pytest.raises(UncoveredByCharacterization):

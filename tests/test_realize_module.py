@@ -11,6 +11,7 @@ from normalize_reference import normalize_module
 from stablebetti import (
     BudgetExceeded,
     Corner,
+    CornerSpec,
     InfeasibleSpec,
     MODE_COUPLED,
     MODE_STRICT,
@@ -36,22 +37,25 @@ from stablebetti.segments import stratum_size
 
 
 def test_validate_module_spec_delegates_for_single_component():
-    assert validate_module_spec(spec(6, [(5, 3)], [1]), 1).admissible
-    assert validate_module_spec(spec(3, [(1, 2)], [1]), 1).status == "uncovered"
+    validate_module_spec(spec(6, [(5, 3)], [1]), 1)  # does not raise
+    uncovered = spec(3, [(1, 2)], [1])
+    assert not uncovered.covered
+    with pytest.raises(UncoveredByCharacterization):
+        validate_module_spec(uncovered, 1)
     with pytest.raises(SpecError):
         validate_module_spec(spec(6, [(5, 3)], [1]), 0)
 
 
 def test_validate_module_spec_value_range():
     # single corner (2,2): per-component stratum size C(3,1) = 3
-    assert validate_module_spec(spec(4, [(2, 2)], [6]), 2).admissible
-    verdict = validate_module_spec(spec(4, [(2, 2)], [7]), 2)
-    assert not verdict.admissible
-    assert verdict.status == "rejected"
+    validate_module_spec(spec(4, [(2, 2)], [6]), 2)  # does not raise
+    with pytest.raises(InfeasibleSpec, match="above the 2-component cap 6") as err:
+        validate_module_spec(spec(4, [(2, 2)], [7]), 2)
+    assert err.value.exit_code == 2
     # positions that the single-ideal rules exclude are fine for m > 1
-    assert validate_module_spec(spec(3, [(1, 2)], [2]), 2).admissible
+    validate_module_spec(spec(3, [(1, 2)], [2]), 2)
     # one column per component is built, so m is capped
-    assert validate_module_spec(spec(4, [(2, 2)], [1]), MAX_COMPONENTS).admissible
+    validate_module_spec(spec(4, [(2, 2)], [1]), MAX_COMPONENTS)
     with pytest.raises(BudgetExceeded, match="allows m <= 10000, got 10001"):
         validate_module_spec(spec(4, [(2, 2)], [1]), MAX_COMPONENTS + 1)
 
@@ -138,6 +142,17 @@ def test_validate_corner_matrix_catches_bad_shapes_and_sums():
     ok, reason = validate_corner_matrix(s2, ((1,), (1,)))
     assert not ok
     assert "position screening" in reason
+
+
+def test_corner_matrix_entries_may_not_be_bools():
+    # True == 1 and bool subclasses int, but a JSON true is not a count
+    s = CornerSpec(6, (Corner(5, 3),), (2,))
+    reason = "matrix entries must be non-negative integers"
+    assert validate_corner_matrix(s, ((True, True),)) == (False, reason)
+    assert validate_corner_matrix(s, ((1, True),)) == (False, reason)
+    with pytest.raises(InfeasibleSpec, match=reason):
+        construct_module(s, ((True, True),))
+    assert construct_module(s, ((1, 1),)).to_obj()["matrix"] == [[1, 1]]
 
 
 def test_validate_corner_matrix_checks_mode_bounds():

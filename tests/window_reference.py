@@ -14,9 +14,9 @@ from stablebetti.realize_ideal import (
     BoundReport,
     CornerWindow,
     _corner_bottom,
-    _require_admissible,
     _tail_index,
     _verdict,
+    validate_positions,
 )
 
 
@@ -55,7 +55,7 @@ def minus_shadow(aset, floor):
 
 def window_members(spec):
     """Per corner, the peak-stratum members down to the corner's bottom."""
-    _require_admissible(spec)
+    validate_positions(spec)
     t = _tail_index(spec)
     out = []
     for i, c in enumerate(spec.corners):
