@@ -225,11 +225,11 @@ def _cmd_realize_ideal(args, stdout, stdin) -> int:
 
 def _cmd_realize_module(args, stdout, stdin) -> int:
     spec, mode, obj = _spec_and_mode(args, stdin)
-    m = args.m if args.m is not None else obj.get("m")
-    if m is None:
+    if args.m is None and "m" not in obj:
         raise _UsageError(
             'realize-module needs a component count: pass --m or an "m" key'
         )
+    m = obj["m"] if args.m is None else args.m
     realization = realize_module(spec, m, mode)
     _dump(realization.to_obj() | _table_doc(realization.table), stdout)
     return 0

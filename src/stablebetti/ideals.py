@@ -33,7 +33,7 @@ def canonical_key(u: Monomial) -> tuple:
 def _check_exponents(n: int, g: Monomial) -> None:
     if len(g) != n:
         raise BadRange(f"generator {g} has {len(g)} exponents, expected {n}")
-    if any(e < 0 for e in g):
+    if min(g, default=0) < 0:
         raise BadRange(f"negative exponent in {g}")
 
 

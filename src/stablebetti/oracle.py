@@ -11,7 +11,8 @@ integer columns from one table of signed faces, each checked for
 d(d) = 0 once per process, and are ranked over Q by exact elimination
 that prefers unit pivots. enumerate_strongly_stable lists the small
 strongly stable ideals themselves, within guard rails and a decision
-budget.
+budget: it walks each degree's Borel-closed slices as bitmasks over
+that degree's monomials, iteratively within a degree.
 
 The multidegree decomposition rests on two standard facts. Nonzero
 homology only occurs in multidegrees that are least common multiples of
@@ -275,6 +276,17 @@ def enumerate_strongly_stable(
     blowups out, and a search past CENSUS_DECISIONS decisions raises
     BudgetExceeded after yielding what it found; pass allow_large=True
     to lift both.
+
+    A degree's slice is a bitmask over its iter_degree order. Each
+    candidate carries, built once per census, its borel_moves as a mask
+    over its own degree (it may join when the mask lies inside the
+    slice) and its multiples x_t * u as a mask over the next degree (the
+    next slice's shadow ORs them). Inside one degree the walk is
+    iterative and exclusion first: it descends excluding every
+    candidate, pushing each one outside the shadow as a pending include,
+    and on the way back pops the pending includes and tries each in
+    turn. Each node of that tree is one decision. Only the degrees chain
+    as generators, at most max_degree deep.
     """
     if n < 1:
         raise BadRange(f"need n >= 1, got {n}")
@@ -297,42 +309,56 @@ def enumerate_strongly_stable(
                 f"n={n}, max_degree={max_degree}; pass allow_large=True to lift"
             )
 
-    # each degree's candidates with their exchanges, built once per census
+    # each degree's candidates as (u, moves mask, multiples mask); a
+    # monomial's moves are distinct, and so are its multiples
+    index = [
+        {u: i for i, u in enumerate(iter_degree(n, d))}
+        for d in range(1, max_degree + 2)
+    ]
     levels = [
-        [(u, borel_moves(u)) for u in iter_degree(n, d)]
-        for d in range(1, max_degree + 1)
+        [
+            (
+                u,
+                sum(1 << here[v] for v in borel_moves(u)),
+                sum(1 << up[mul_var(u, t)] for t in range(1, n + 1)),
+            )
+            for u in here
+        ]
+        for here, up in zip(index, index[1:])
     ]
 
-    def by_degree(d: int, prev: tuple[Monomial, ...], gens: tuple[Monomial, ...]):
-        if d > max_degree:
-            if gens:  # minimal, and in canonical order as added
-                yield MonomialIdeal(n, gens)
-            return
-        forced = {mul_var(u, t) for u in prev for t in range(1, n + 1)}
+    def by_degree(d: int, shadow: int, gens: tuple[Monomial, ...]):
         cands = levels[d - 1]
-        included = set(forced)
+        room = inf if max_gens is None else max_gens - len(gens)
+        included = shadow
         added: list[Monomial] = []
-
-        def decide(idx: int):
+        pending: list[tuple[int, int, int]] = []  # (index, included, len(added))
+        i = 0
+        while True:
+            for j in range(i, len(cands)):
+                spend()
+                if not shadow >> j & 1:
+                    pending.append((j, included, len(added)))
             spend()
-            if idx == len(cands):
-                slice_d = tuple(u for u, _moves in cands if u in included)
-                yield from by_degree(d + 1, slice_d, gens + tuple(added))
+            if d == max_degree:
+                if gens or added:  # minimal, and in canonical order as added
+                    yield MonomialIdeal(n, gens + tuple(added))
+            else:
+                next_shadow = 0
+                for j, (_u, _moves, up) in enumerate(cands):
+                    if included >> j & 1:
+                        next_shadow |= up
+                yield from by_degree(d + 1, next_shadow, gens + tuple(added))
+            while pending:
+                i, included, k = pending.pop()
+                u, moves, _up = cands[i]
+                if k < room and not moves & ~included:
+                    del added[k:]
+                    added.append(u)
+                    included |= 1 << i
+                    i += 1
+                    break
+            else:
                 return
-            u, moves = cands[idx]
-            if u in forced:
-                yield from decide(idx + 1)
-                return
-            yield from decide(idx + 1)
-            if (max_gens is None or len(gens) + len(added) < max_gens) and all(
-                v in included for v in moves
-            ):
-                included.add(u)
-                added.append(u)
-                yield from decide(idx + 1)
-                added.pop()
-                included.discard(u)
 
-        yield from decide(0)
-
-    yield from by_degree(1, (), ())
+    yield from by_degree(1, 0, ())

@@ -260,6 +260,16 @@ def test_realize_module_needs_m():
     assert 'pass --m or an "m" key' in json.loads(err)["message"]
 
 
+def test_realize_module_present_null_m_is_a_spec_error():
+    # a present "m" is screened like any other value, not taken as missing
+    code, out, err = invoke(["realize-module"], json.dumps(SPEC3 | {"m": None}))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "SpecError",
+        "message": "m must be an integer, got None",
+    }
+
+
 def test_realize_module_m_flag_beats_file_key():
     doc = {"n": 4, "corners": [{"k": 2, "l": 2, "a": 6}], "m": 2}
     code, out, _err = invoke(["realize-module"], json.dumps(doc))

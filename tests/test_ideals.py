@@ -109,6 +109,19 @@ def test_json_round_trip():
         MonomialIdeal.from_obj({"n": 2, "generators": [7]})
 
 
+def test_generator_exponents_are_checked():
+    with pytest.raises(BadRange, match=r"^negative exponent in \(1, -1\)$"):
+        MonomialIdeal(2, ((1, -1),))
+    with pytest.raises(
+        BadRange, match=r"^generator \(1, 0, 2\) has 3 exponents, expected 2$"
+    ):
+        MonomialIdeal(2, ((1, 1), (1, 0, 2)))
+    with pytest.raises(BadRange, match=r"^negative exponent in \(0, -2\)$"):
+        minimalize(2, [(1, 0), (0, -2)])
+    # the empty exponent vector of n = 0 has no minimum, and is not negative
+    assert minimalize(0, [()]) == ((),)
+
+
 def test_submodule_validation():
     ideal = MonomialIdeal.from_strings(2, ["x1"])
     module = MonomialSubmodule(2, (ideal, ideal))

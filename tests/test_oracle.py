@@ -5,10 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import census_reference
 import pytest
 from bruteforce_reference import bruteforce_realizability
 from conftest import spec
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from ideal_reference import borel_closure
 from koszul_reference import (
@@ -439,6 +440,60 @@ def test_census_guard_rails_and_budget(monkeypatch):
         list(enumerate_strongly_stable(3, 3))
     # allow_large lifts the rails and the budget (kept tiny here)
     assert len(list(enumerate_strongly_stable(2, 7, allow_large=True))) > 14
+
+
+def test_census_n3_to_degree_6_takes_195732_decisions(monkeypatch):
+    # the count the CENSUS_DECISIONS comment and the README cite
+    monkeypatch.setattr(oracle, "CENSUS_DECISIONS", 195_732)
+    assert len(list(enumerate_strongly_stable(3, 6))) == 21_758
+    monkeypatch.setattr(oracle, "CENSUS_DECISIONS", 195_731)
+    with pytest.raises(BudgetExceeded, match="budget of 195731 exhausted"):
+        list(enumerate_strongly_stable(3, 6))
+
+
+def _census_outcome(enumerate_ss, n, max_degree, max_gens=None):
+    """The ideals a census yields, and its refusal message if it raised."""
+    out = []
+    try:
+        for ideal in enumerate_ss(n, max_degree, max_gens):
+            out.append(ideal)
+    except BudgetExceeded as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize("n, max_degree", [(4, 4), (3, 6), (5, 3)])
+def test_census_walk_matches_the_recursive_reference(n, max_degree):
+    got = _census_outcome(enumerate_strongly_stable, n, max_degree)
+    assert got[1] is None and got[0]
+    assert got == _census_outcome(
+        census_reference.enumerate_strongly_stable, n, max_degree
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.none() | st.integers(1, 8),
+    # small budgets too, so that small censuses are also cut mid-run
+    st.integers(1, 500) | st.integers(1, 90_000),
+)
+@example(4, 4, None, 2_000)
+@example(4, 4, 3, 5_000)
+def test_census_walk_refuses_where_the_reference_does(n, max_degree, max_gens, budget):
+    # the same ideals in the same order, and under a budget the same
+    # refusal after the same prefix, since both spend one decision per node
+    saved = oracle.CENSUS_DECISIONS
+    oracle.CENSUS_DECISIONS = budget
+    try:
+        assert _census_outcome(
+            enumerate_strongly_stable, n, max_degree, max_gens
+        ) == _census_outcome(
+            census_reference.enumerate_strongly_stable, n, max_degree, max_gens
+        )
+    finally:
+        oracle.CENSUS_DECISIONS = saved
 
 
 def test_bruteforce_finds_known_witness():
