@@ -15,6 +15,7 @@ extremal entries (free-module tails) are reported separately.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,12 +85,13 @@ def ek_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     if isinstance(module, MonomialIdeal):
         module = MonomialSubmodule.of_ideal(module)
     _require_stable(module)
+    # one binomial per (max index, module degree) group of generators
+    groups = Counter((max_index(g), f) for _h, g, f in module.module_generators())
     entries: dict[tuple[int, int], int] = {}
-    for _h, g, mod_deg in module.module_generators():
-        top = max_index(g)
+    for (top, mod_deg), count in groups.items():
         for k in range(top):
             key = (k, k + mod_deg)
-            entries[key] = entries.get(key, 0) + math.comb(top - 1, k)
+            entries[key] = entries.get(key, 0) + count * math.comb(top - 1, k)
     return BettiTable(module.n, entries)
 
 

@@ -164,7 +164,6 @@ def _cmd_corners(args, stdout, stdin) -> int:
 
 def _cmd_check_stable(args, stdout, stdin) -> int:
     module = parse_module_or_ideal(_read_input(args.input, stdin))
-    stable = all(c.is_stable() for c in module.components)
     violation = None
     for h, ideal in enumerate(module.components):
         hit = ideal.stability_violation(strong=True)
@@ -178,6 +177,7 @@ def _cmd_check_stable(args, stdout, stdin) -> int:
                 "moved": format_monomial(moved) if moved else None,
             }
             break
+    stable = all(c.is_stable() for c in module.components)
     _dump(
         {
             "stable": stable,

@@ -19,7 +19,9 @@ from .monomials import (
     Packing,
     degree,
     format_monomial,
+    initial_segment,
     max_index,
+    mul_var,
     packing,
     parse_monomial,
 )
@@ -116,48 +118,47 @@ class MonomialIdeal:
         Generators are scanned in order, and for each the exchanges
         (i, j) with i ascending, then j ascending: every i with x_i
         dividing the generator when strong, only its largest one when not.
-        The exchanged monomial is tested packed, with x_j's exponent
-        clamped as in contains. It keeps the degree of its generator, so
-        a generator of that degree contains it only by being equal to it
-        (a set lookup), and only the lower-degree ones are scanned.
+        An exchange u is looked up packed among the generators and the
+        exchanges found inside so far, then by its lower-degree initial
+        segments among the generators. In a stable ideal u = g(u) * w with
+        g(u) a minimal generator and max(g(u)) <= min(w) (Eliahou-Kervaire,
+        J. Algebra 1990; Herzog-Hibi, Monomial Ideals, 7.2), so g(u) is such
+        a segment. The lower degrees, scanned first, are stable when used,
+        so only a failing exchange misses; a miss falls back to contains,
+        which decides on any input.
         """
         if self.is_zero:
             return (None, 0, 0, None)
-        pk, top, packed = self.packed
-        guards = pk.guards
+        pk, _top, packed = self.packed
         bits = [1 << s for s in pk.shifts]
-        members = set(packed)
-        degrees = [degree(g) for g in self.gens]
-        lower_by_degree = {
-            d: tuple(h for h, e in zip(packed, degrees) if e < d) for d in set(degrees)
-        }
-        for g, pg, d in zip(self.gens, packed, degrees):
+        known = set(packed)  # a field holds top + 1 too, so q below is exact
+        gens = set(self.gens)
+        degrees = sorted({degree(g) for g in self.gens}, reverse=True)
+        for g, pg in zip(self.gens, packed):
             if not pg:
                 return (g, 0, 0, None)
-            lower = lower_by_degree[d]
+            lower = [e for e in degrees if e < degree(g)]
             i_range = [max_index(g)] if not strong else [
                 i for i in range(2, self.n + 1) if g[i - 1]
             ]
             for i in i_range:
                 lowered = pg - bits[i - 1]
                 for j in range(1, i):
-                    if g[j - 1] == top:
-                        q = lowered  # the clamped exchange equals no generator
-                    else:
-                        q = lowered + bits[j - 1]
-                        if q in members:
-                            continue
-                    q |= guards
-                    if not any((q - h) & guards == guards for h in lower):
-                        moved = list(g)
-                        moved[i - 1] -= 1
-                        moved[j - 1] += 1
-                        return (g, i, j, tuple(moved))
+                    q = lowered + bits[j - 1]
+                    if q in known:
+                        continue
+                    moved = mul_var(mul_var(g, i, -1), j)
+                    if not any(initial_segment(moved, e) in gens for e in lower):
+                        if not self.contains(moved):
+                            return (g, i, j, moved)
+                    known.add(q)
         return None
 
-    # Each verdict is computed at most once per ideal object.
+    # Each verdict is computed once per ideal; strong stability implies stability.
     @cached_property
     def _weak_violation(self):
+        if "_strong_violation" in self.__dict__ and self._strong_violation is None:
+            return None
         return self._stability_violation(strong=False)
 
     @cached_property

@@ -69,6 +69,17 @@ def packing(n: int, top: int) -> Packing:
     return Packing(width, shifts, lows, lows << (width - 1))
 
 
+def initial_segment(u: Monomial, e: int) -> Monomial:
+    """u's exponents from x1 up, cut off at degree e: a divisor of u."""
+    t = 0
+    for a in u:
+        if a >= e:
+            return u[:t] + (e,) + (0,) * (len(u) - t - 1)
+        e -= a
+        t += 1
+    return u
+
+
 def borel_moves(u: Monomial) -> list[Monomial]:
     """All exchanges x_j * u / x_i with j < i and x_i dividing u, in no
     particular outer order."""

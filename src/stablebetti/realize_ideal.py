@@ -30,19 +30,23 @@ from functools import cached_property
 
 from .betti import BettiTable, Corner, corner_sequence, ek_betti
 from .errors import (
+    BudgetExceeded,
     InfeasibleSpec,
     SpecError,
     UncoveredByCharacterization,
     VerificationFailed,
     json_int,
 )
-from .ideals import MonomialIdeal
-from .monomials import Monomial, degree, format_monomial, mul_var
+from .ideals import MonomialIdeal, canonical_key
+from .monomials import Monomial, degree, format_monomial, initial_segment, mul_var
 from .segments import lex_count, lex_unrank, stratum_member, stratum_rank
 
 MODE_STRICT = "strict-paper"
 MODE_COUPLED = "coupled"
 MODES = (MODE_STRICT, MODE_COUPLED)
+
+# Most generators construct_ideal lists; its witness's size is known first.
+MAX_WITNESS_GENS = 100_000
 
 
 def _check_mode(mode: str) -> str:
@@ -377,17 +381,21 @@ def _corner_text(sequence) -> str:
     return str([((c.k, c.ell), v) for c, v in sequence])
 
 
-def _verify_realization(
-    ideal: MonomialIdeal, spec: CornerSpec, planned: list[Monomial]
-) -> BettiTable:
-    if set(ideal.gens) != set(planned):
-        raise VerificationFailed(
-            "constructed generators are not minimal as planned"
-        )
+def _verify_realization(ideal: MonomialIdeal, spec: CornerSpec) -> BettiTable:
+    """Check a witness kept in its planned order. Once it is strongly stable,
+    a non-minimal generator has a generator among its lower-degree initial
+    segments (Eliahou-Kervaire), so minimality is one lookup per degree."""
+    keys = [canonical_key(g) for g in ideal.gens]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise VerificationFailed("constructed generators are not in canonical order")
     if not ideal.is_strongly_stable():
         raise VerificationFailed("constructed ideal is not strongly stable")
-    allowed = {c.ell for c in spec.corners}
-    if any(degree(g) not in allowed for g in ideal.gens):
+    gens, degrees = set(ideal.gens), {degree(g) for g in ideal.gens}
+    if any(
+        initial_segment(g, e) in gens for g in gens for e in degrees if e < degree(g)
+    ):
+        raise VerificationFailed("constructed generators are not minimal as planned")
+    if not degrees <= {c.ell for c in spec.corners}:
         raise VerificationFailed(
             "constructed ideal has generators outside the corner degrees"
         )
@@ -408,9 +416,12 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
     The generators in the first corner degree run from x1^l1 down to the
     picked least peak generator, within max variable index k_1 + 1; each
     later degree runs from just below the previous pick's shadow down to
-    its own pick, within max index k_i + 1. Output is checked for strong
-    stability, exact corner sequence, and generation confined to the
-    corner degrees; a mismatch raises VerificationFailed.
+    its own pick, within max index k_i + 1. Their count, read off the ranks
+    first, may not pass MAX_WITNESS_GENS (BudgetExceeded). Listed so, they
+    are canonical and minimal, and form the ideal as they are.
+    _verify_realization proves it (minimality by Eliahou-Kervaire segment
+    lookups) and checks strong stability, the corner degrees and the exact
+    corner sequence; a mismatch raises VerificationFailed.
     """
     _check_mode(mode)
     report = compute_bounds(spec)
@@ -429,22 +440,27 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
         raise InfeasibleSpec(
             f"corner {violation + 1} has no admissible pick in coupled mode"
         )
-    blocks: list[tuple[Monomial, ...]] = []
+    spans = []
     for i, c in enumerate(spec.corners):
         # the monomials in x1..x_{k+1} below the previous pick's shadow
         # (none before the first corner) down to this corner's pick
         above = lex_count(_shadow_floor(spec, i, picks[i - 1]), c.k + 1) if i else 0
-        ranks = range(above + 1, lex_count(picks[i], c.k + 1) + 1)
-        blocks.append(tuple(lex_unrank(spec.n, c.k + 1, c.ell, j) for j in ranks))
-    planned = [g for block in blocks for g in block]
-    ideal = MonomialIdeal.from_generators(spec.n, planned)
-    table = _verify_realization(ideal, spec, planned)
+        spans.append((above, lex_count(picks[i], c.k + 1)))
+    size = sum(last - above for above, last in spans)
+    if size > MAX_WITNESS_GENS:
+        raise BudgetExceeded(f"witness needs {size} generators, cap {MAX_WITNESS_GENS}")
+    blocks = tuple(
+        tuple(lex_unrank(spec.n, c.k + 1, c.ell, j) for j in range(above + 1, last + 1))
+        for c, (above, last) in zip(spec.corners, spans)
+    )
+    ideal = MonomialIdeal(spec.n, tuple(g for block in blocks for g in block))
+    table = _verify_realization(ideal, spec)
     return IdealRealization(
         spec,
         mode,
         ideal,
         tuple(picks),
-        tuple(blocks),
+        blocks,
         report,
         strict_verdict,
         coupled_verdict,

@@ -74,6 +74,6 @@ def construct_degree2_chain(spec: CornerSpec) -> MonomialIdeal:
         exps[k] += 3 + ls[i1 - 1] - ls[k - 1]
         blocks.append([tuple(exps)])
     planned = [g for block in blocks for g in block]
-    ideal = MonomialIdeal.from_generators(n, planned)
-    _verify_realization(ideal, spec, planned)
+    ideal = MonomialIdeal(n, tuple(planned))
+    _verify_realization(ideal, spec)
     return ideal

@@ -15,6 +15,7 @@ from stablebetti import (
     corner_sequence,
     ek_betti,
     extremal_from_table,
+    max_index,
     module_corner_report,
     render_diagram,
 )
@@ -178,3 +179,28 @@ def test_render_diagram_multirow():
     assert lines[0].startswith("1:")
     assert lines[-1].startswith("2:")
     assert "*" in lines[-1]
+
+
+def _ek_entries_per_generator(module):
+    """The generator formula one generator at a time, entries in the order
+    they are first met."""
+    entries = {}
+    for _h, g, mod_deg in module.module_generators():
+        top = max_index(g)
+        for k in range(top):
+            key = (k, k + mod_deg)
+            entries[key] = entries.get(key, 0) + math.comb(top - 1, k)
+    return entries
+
+
+def test_grouped_generator_formula_keeps_entries_and_their_order(
+    chain_small, chain_large, bundle3, bundle4
+):
+    ideal = MonomialIdeal.from_strings(3, ["x1^2", "x1*x2", "x1*x3"])
+    other = MonomialIdeal.from_strings(3, ["x1", "x2^2", "x2*x3"])
+    shifted = MonomialSubmodule(3, (other, ideal, ideal), (0, 1, 1))
+    for module in (chain_small, chain_large, bundle3, bundle4, shifted):
+        if isinstance(module, MonomialIdeal):
+            module = MonomialSubmodule.of_ideal(module)
+        want = _ek_entries_per_generator(module)
+        assert list(ek_betti(module).entries.items()) == list(want.items())

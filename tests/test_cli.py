@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ideal_reference import borel_closure
 
 from stablebetti import (
     InfeasibleSpec,
+    MonomialIdeal,
     NotStable,
     SpecError,
     StableBettiError,
@@ -341,6 +343,36 @@ def test_realize_module_refuses_more_components_than_it_builds():
             "error": "BudgetExceeded",
             "message": f"a module spec allows m <= 10000, got {m}",
         }
+
+
+def test_realize_ideal_refuses_a_witness_past_the_generator_cap():
+    # the block ranks give the witness's size before any generator is
+    # listed; listing these 3,560,162 would take minutes
+    doc = {"n": 30, "corners": [{"k": 20, "l": 12, "a": 1_000_000}]}
+    started = time.perf_counter()
+    code, out, err = invoke(["realize-ideal"], json.dumps(doc))
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "witness needs 3560162 generators, cap 100000",
+    }
+
+
+def test_check_stable_settles_stability_from_the_strong_verdict(monkeypatch):
+    # the strong verdicts are asked first, so a strongly stable input is
+    # scanned once per component and its weak verdict follows from it
+    calls = []
+    original = MonomialIdeal._stability_violation
+
+    def counted(self, strong):
+        calls.append(strong)
+        return original(self, strong)
+
+    monkeypatch.setattr(MonomialIdeal, "_stability_violation", counted)
+    code, out, _err = invoke(["check-stable"], STABLE3)
+    assert code == 0 and json.loads(out)["stable"] is True
+    assert calls == [True]
 
 
 def test_realize_module_filler_columns():

@@ -1,20 +1,27 @@
+import functools
 import json
 
 import ideal_reference as reference
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablebetti import (
     BadRange,
+    Corner,
+    CornerSpec,
     MonomialIdeal,
     MonomialSubmodule,
     MonomialSyntaxError,
+    construct_ideal,
+    coupled_chain,
     degree,
+    enumerate_strongly_stable,
     minimalize,
     parse_module_or_ideal,
     parse_monomial,
 )
+from stablebetti.monomials import mul_var
 
 
 def test_minimalize_drops_multiples():
@@ -229,3 +236,88 @@ def test_each_stability_verdict_is_computed_once(monkeypatch):
         assert ideal.stability_violation(strong=False) is None
         assert ideal.stability_violation(strong=True)[1:3] == (2, 1)
     assert sorted(calls) == [False, True]
+
+
+def test_a_passed_strong_verdict_settles_the_weak_one_without_a_scan(monkeypatch):
+    calls = []
+    original = MonomialIdeal._stability_violation
+
+    def counted(self, strong):
+        calls.append(strong)
+        return original(self, strong)
+
+    monkeypatch.setattr(MonomialIdeal, "_stability_violation", counted)
+    strongly = MonomialIdeal.from_strings(3, ["x1^2", "x1*x2", "x1*x3", "x2^2"])
+    assert strongly.is_strongly_stable() and strongly.is_stable()
+    assert calls == [True]
+    # a failed strong verdict settles nothing: the weak scan still runs
+    weakly = MonomialIdeal.from_strings(3, ["x1^2", "x1*x2", "x2^2", "x2*x3"])
+    assert not weakly.is_strongly_stable() and weakly.is_stable()
+    assert calls == [True, True, False]
+
+
+@functools.cache
+def _census(n):
+    return tuple(enumerate_strongly_stable(n, 4 if n < 4 else 3))
+
+
+@st.composite
+def _witnesses(draw):
+    """construct_ideal witnesses of specs drawn the way c06 draws them:
+    n <= 6, at most three corners, degrees from 2..4 up by 1..3 each, and
+    every value within the coupled cap its prefix leaves."""
+    n = draw(st.integers(2, 6), label="n")
+    r = draw(st.integers(1, min(3, n - 1)), label="r")
+    ks = draw(st.lists(st.integers(1, n - 1), min_size=r, max_size=r, unique=True))
+    ells = [draw(st.integers(2, 4))]
+    for _ in range(r - 1):
+        ells.append(ells[-1] + draw(st.integers(1, 3)))
+    corners = tuple(Corner(k, l) for k, l in zip(sorted(ks, reverse=True), ells))
+    assume(CornerSpec(n, corners, (1,) * r).covered)
+    values: list[int] = []
+    for _ in range(r):
+        cap = coupled_chain(CornerSpec(n, corners, (1,) * r), values)[0][-1]
+        values.append(draw(st.integers(1, cap), label="value"))
+    return construct_ideal(CornerSpec(n, corners, tuple(values))).ideal
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_segment_lookup_verdicts_match_the_tuple_scan(data):
+    # census ideals and witnesses pass with every lookup a hit; a witness
+    # short of one generator, or with one generator times x_n (left in
+    # place, or re-sorted and minimalized), fails at some exchange, and the
+    # first failing (g, i, j, moved) must be the reference's in both modes
+    if data.draw(st.booleans(), label="census"):
+        n = data.draw(st.integers(1, 4), label="n")
+        census = _census(n)
+        base = census[data.draw(st.integers(0, len(census) - 1), label="member")]
+    else:
+        base = data.draw(_witnesses(), label="witness")
+    n, gens = base.n, base.gens
+    t = data.draw(st.integers(0, len(gens) - 1), label="position")
+    raised = gens[:t] + (mul_var(gens[t], n),) + gens[t + 1 :]
+    ideals = [
+        base,
+        MonomialIdeal(n, gens[:t] + gens[t + 1 :]),
+        MonomialIdeal(n, raised),
+        MonomialIdeal.from_generators(n, raised),
+    ]
+    for ideal in ideals:
+        for order in ((False, True), (True, False)):
+            fresh = MonomialIdeal(n, ideal.gens)  # no verdict cached yet
+            for strong in order:
+                assert fresh.stability_violation(strong) == (
+                    reference.stability_violation(ideal, strong)
+                ), (ideal, strong)
+
+
+def test_a_lookup_hit_needs_a_segment_of_the_exchange_itself():
+    # x2*x3 divides x2*x3^2 and is its degree-2 initial segment, yet the
+    # exchange x1*x3^2 of x2*x3^2 lies outside: scanned first, unsorted,
+    # the non-minimal generator must fail on its own exchange
+    ideal = MonomialIdeal(3, ((0, 1, 2), (0, 1, 1)))
+    assert ideal.stability_violation(strong=True) == ((0, 1, 2), 2, 1, (1, 0, 2))
+    assert ideal.stability_violation(strong=True) == reference.stability_violation(
+        ideal, True
+    )

@@ -15,6 +15,7 @@ from stablebetti import (
 )
 from stablebetti.monomials import (
     borel_moves,
+    initial_segment,
     iter_degree,
     mul_var,
     unit,
@@ -108,3 +109,24 @@ def test_borel_move_preserves_degree_randomized():
         for v in borel_moves(u):
             assert degree(v) == degree(u)
             assert v > u  # moves always raise lex order
+
+
+def test_initial_segment_fills_from_x1_up():
+    u = parse_monomial("x1*x3^2*x4", 4)
+    assert [initial_segment(u, e) for e in range(6)] == [
+        (0, 0, 0, 0),
+        (1, 0, 0, 0),
+        (1, 0, 1, 0),
+        (1, 0, 2, 0),
+        u,
+        u,
+    ]
+    rng = random.Random(16)
+    for _ in range(200):
+        u = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 6)))
+        e = rng.randint(0, degree(u) + 1)
+        seg = initial_segment(u, e)
+        assert degree(seg) == min(e, degree(u)) and divides(seg, u)
+        # every exponent before the last one of seg is u's own
+        last = max_index(seg)
+        assert seg[: last - 1] == u[: last - 1] if last else not any(seg)

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import random
+import time
 
 import chain_reference
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablebetti import (
+    BudgetExceeded,
     Corner,
     CornerSpec,
     InfeasibleSpec,
@@ -22,18 +24,21 @@ from stablebetti import (
     SpecError,
     StableBettiError,
     UncoveredByCharacterization,
+    VerificationFailed,
     check_values,
     compute_bounds,
     construct_ideal,
     construct_module,
     corner_sequence,
     coupled_chain,
+    degree,
     ek_betti,
     find_corner_matrix,
     format_monomial,
     validate_positions,
 )
-from stablebetti import betti, monomials
+from stablebetti import betti, ideals, monomials, realize_ideal
+from stablebetti.realize_ideal import _verify_realization
 from stablebetti.cli import run
 
 
@@ -435,3 +440,73 @@ def test_construct_ideal_equals_the_closed_form_chain(s, mode):
             construct_ideal(s, mode)
         return
     assert construct_ideal(s, mode).ideal == chain_reference.construct_degree2_chain(s)
+
+
+def test_construct_ideal_never_minimalizes(monkeypatch):
+    # the planned generators are canonical and minimal as listed, and
+    # _verify_realization proves it without minimalize's scan
+    def refuse(n, monos):
+        raise AssertionError("construct_ideal called minimalize")
+
+    patch_everywhere(monkeypatch, ideals.minimalize, refuse)
+    for s in (
+        spec(4, [(3, 2), (2, 4)], [1, 1]),
+        spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1]),
+        spec(10, [(9, 2), (7, 5), (5, 8), (3, 11)], [2, 46, 1, 1]),
+    ):
+        built = construct_ideal(s)
+        assert built.ideal.gens == tuple(g for block in built.blocks for g in block)
+        assert corner_sequence(built.table) == list(zip(s.corners, s.values))
+
+
+def _planned(s):
+    return list(construct_ideal(s).ideal.gens)
+
+
+def test_verify_realization_refuses_a_non_minimal_plan():
+    s = spec(4, [(3, 2), (2, 4)], [1, 1])
+    planned = _planned(s)
+    first_of_degree_4 = next(t for t, g in enumerate(planned) if degree(g) == 4)
+    # x1^4 is a multiple of x1^2 and lex-first in degree 4: the order stays
+    # canonical and the ideal stays strongly stable, only minimality fails
+    planned.insert(first_of_degree_4, (4, 0, 0, 0))
+    with pytest.raises(VerificationFailed, match="^constructed generators are not minimal"):
+        _verify_realization(MonomialIdeal(4, tuple(planned)), s)
+
+
+def test_verify_realization_refuses_a_misordered_plan():
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
+    planned = _planned(s)
+    for t in (0, len(planned) - 2):  # inside a degree, and across the last two
+        swapped = planned[:t] + [planned[t + 1], planned[t]] + planned[t + 2 :]
+        with pytest.raises(VerificationFailed, match="not in canonical order$"):
+            _verify_realization(MonomialIdeal(6, tuple(swapped)), s)
+    _verify_realization(MonomialIdeal(6, tuple(planned)), s)
+
+
+def test_witness_size_is_capped_before_any_generator_is_listed(monkeypatch):
+    s = spec(10, [(9, 2), (7, 5), (5, 8), (3, 11)], [2, 46, 1, 1])
+    size = len(construct_ideal(s).ideal.gens)
+    monkeypatch.setattr(realize_ideal, "MAX_WITNESS_GENS", size)
+    assert len(construct_ideal(s).ideal.gens) == size
+
+    def refuse(*args):
+        raise AssertionError("a generator was listed past the cap")
+
+    monkeypatch.setattr(realize_ideal, "MAX_WITNESS_GENS", size - 1)
+    monkeypatch.setattr(realize_ideal, "lex_unrank", refuse)  # the block listing
+    with pytest.raises(
+        BudgetExceeded, match=f"^witness needs {size} generators, cap {size - 1}$"
+    ):
+        construct_ideal(s)
+
+
+def test_a_24068_generator_witness_verifies_in_near_linear_time():
+    # a scan of every exchange against every lower-degree generator took
+    # about 40 s on this column; the segment lookups take under a second
+    s = spec(14, [(9, 8), (7, 11), (5, 14)], [2151, 12025, 1])
+    started = time.perf_counter()
+    built = construct_ideal(s)
+    assert time.perf_counter() - started < 3.0
+    assert len(built.ideal.gens) == 24068
+    assert corner_sequence(built.table) == list(zip(s.corners, s.values))
