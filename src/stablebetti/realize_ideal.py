@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .betti import BettiTable, Corner, corner_sequence, ek_betti
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .ideals import MonomialIdeal, canonical_key
 from .monomials import Monomial, degree, format_monomial, initial_segment, mul_var
-from .segments import lex_count, lex_unrank, stratum_member, stratum_rank
+from .segments import lex_count, lex_unrank, lex_walk, stratum_member, stratum_rank
 
 MODE_STRICT = "strict-paper"
 MODE_COUPLED = "coupled"
@@ -417,7 +418,9 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
     picked least peak generator, within max variable index k_1 + 1; each
     later degree runs from just below the previous pick's shadow down to
     its own pick, within max index k_i + 1. Their count, read off the ranks
-    first, may not pass MAX_WITNESS_GENS (BudgetExceeded). Listed so, they
+    first, may not pass MAX_WITNESS_GENS (BudgetExceeded). Each block is
+    then unranked at its first member and walked by lex successor, one
+    step per generator (segments.lex_walk). Listed so, they
     are canonical and minimal, and form the ideal as they are.
     _verify_realization proves it (minimality by Eliahou-Kervaire segment
     lookups) and checks strong stability, the corner degrees and the exact
@@ -449,10 +452,11 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
     size = sum(last - above for above, last in spans)
     if size > MAX_WITNESS_GENS:
         raise BudgetExceeded(f"witness needs {size} generators, cap {MAX_WITNESS_GENS}")
-    blocks = tuple(
-        tuple(lex_unrank(spec.n, c.k + 1, c.ell, j) for j in range(above + 1, last + 1))
-        for c, (above, last) in zip(spec.corners, spans)
-    )
+    blocks = []
+    for c, (above, last) in zip(spec.corners, spans):
+        # a nonempty run of ranks: unrank its first member, walk the rest
+        first = lex_unrank(spec.n, c.k + 1, c.ell, above + 1)
+        blocks.append(tuple(islice(lex_walk(first, c.k + 1), last - above)))
     ideal = MonomialIdeal(spec.n, tuple(g for block in blocks for g in block))
     table = _verify_realization(ideal, spec)
     return IdealRealization(
@@ -460,7 +464,7 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
         mode,
         ideal,
         tuple(picks),
-        blocks,
+        tuple(blocks),
         report,
         strict_verdict,
         coupled_verdict,

@@ -15,6 +15,12 @@ admissible value and decremented on backtrack. Patterns whose row
 subsequence fails position screening are never tried. The walk keeps one
 candidate generator per placed column on an explicit stack, so its depth
 does not grow with m; m itself is capped at MAX_COMPONENTS.
+
+Each node costs about the same. A column entry's coupled cap depends only
+on the pattern and the entries before it, so the search memoises it by the
+two, at most one entry per spent node. Patterns are screened by row
+bitmask against the rows already closed and the rows that the later
+columns cannot cover alone.
 """
 
 from __future__ import annotations
@@ -125,12 +131,18 @@ def find_corner_matrix(
     _check_mode(mode)
     validate_module_spec(spec, m)
     r = spec.r
-    patterns = _admissible_patterns(spec)
+    # each pattern with its row bitmask, row i at bit i
+    patterns = [
+        (rows, sub, sum(1 << i for i in rows))
+        for rows, sub in _admissible_patterns(spec)
+    ]
     strict_caps = (
-        {rows: compute_bounds(sub).bounds for rows, sub in patterns if rows}
+        {rows: compute_bounds(sub).bounds for rows, sub, _ in patterns if rows}
         if mode == MODE_STRICT
         else {}
     )
+    # the next entry's coupled cap by (rows, entries so far); rows fixes sub
+    coupled_caps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     single_cap = [stratum_size(c.k, c.ell) for c in spec.corners]
     nodes = count(1)
 
@@ -147,12 +159,23 @@ def find_corner_matrix(
     def candidates():
         """Place each candidate for the next column in turn, keeping it
         applied to rem while suspended."""
-        cols_left = m - len(columns)
-        if any(rem[i] > cols_left * single_cap[i] for i in range(r)):
-            return
-        # later columns contribute at most single_cap[i] each to row i,
-        # so an entry below this floor can never be completed
-        floor = [max(1, rem[i] - (cols_left - 1) * single_cap[i]) for i in range(r)]
+        cols_after = m - len(columns) - 1
+        # every row a pattern fills must still be open (not in closed), and
+        # every row it skips coverable by the columns after it (not in
+        # must); rem holds still while this call screens the patterns
+        closed = must = 0
+        floor = []
+        for i in range(r):
+            # later columns contribute at most single_cap[i] each to row i,
+            # so an entry below this floor can never be completed
+            spare = cols_after * single_cap[i]
+            if rem[i] > spare + single_cap[i]:
+                return
+            if not rem[i]:
+                closed |= 1 << i
+            elif rem[i] > spare:
+                must |= 1 << i
+            floor.append(max(1, rem[i] - spare))
 
         def entries_of(rows, sub, entries):
             spend()
@@ -161,8 +184,12 @@ def find_corner_matrix(
                 yield dict(zip(rows, entries))
                 return
             if mode == MODE_COUPLED:
-                bounds, _picks, violation = coupled_chain(sub, entries)
-                cap = 0 if violation is not None else bounds[-1]
+                key = (rows, tuple(entries))
+                cap = coupled_caps.get(key)
+                if cap is None:
+                    bounds, _picks, violation = coupled_chain(sub, entries)
+                    cap = 0 if violation is not None else bounds[-1]
+                    coupled_caps[key] = cap
             else:
                 cap = strict_caps[rows][pos]
             i = rows[pos]
@@ -171,14 +198,8 @@ def find_corner_matrix(
                 yield from entries_of(rows, sub, entries)
                 entries.pop()
 
-        for rows, sub in patterns:
-            # every row the pattern fills must still be open, and every row
-            # it skips coverable by the columns after it
-            if rows and any(rem[i] == 0 for i in rows) or any(
-                rem[i] > (cols_left - 1) * single_cap[i]
-                for i in range(r)
-                if i not in rows
-            ):
+        for rows, sub, bits in patterns:
+            if bits & closed or must & ~bits:
                 continue
             for column in entries_of(rows, sub, []) if rows else [{}]:
                 columns.append(column)

@@ -65,6 +65,28 @@ def lex_unrank(n: int, m: int, d: int, j: int) -> Monomial:
     return tuple(exps)
 
 
+def lex_walk(first: Monomial, m: int):
+    """first and every monomial after it, lex-descending, among the
+    monomials of its degree in x1..x_m; first must lie in x1..x_m.
+
+    The successor lowers the last nonzero exponent e_i with i < m by one
+    and sets e_{i+1} to the old tail degree plus one: the largest monomial
+    that agrees with the current one before position i and is smaller at i.
+    """
+    e = list(first)
+    while True:
+        yield tuple(e)
+        i = m - 2
+        while i >= 0 and not e[i]:
+            i -= 1
+        if i < 0:  # x_m^d, the last of the degree
+            return
+        tail = e[m - 1]
+        e[m - 1] = 0
+        e[i] -= 1
+        e[i + 1] = tail + 1
+
+
 def stratum_rank(v: Monomial, k: int) -> int:
     """How many members of A(k, deg v) are lex >= v."""
     return lex_count(v, k + 1) - lex_count(v, k)

@@ -1,10 +1,11 @@
+import contextlib
 import importlib
 from collections import Counter
 
 import pytest
 import search_reference
 from conftest import patch_everywhere, spec
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from normalize_reference import normalize_module
 
@@ -118,8 +119,20 @@ def _search_outcome(search, n, pairs, values, m, mode, budget):
         return str(exc)
 
 
+def _budget_examples(test):
+    # the benchmark's two refused realize-module specs, at the budget it
+    # runs them with and one node either side, and at the nodes each needs
+    # to find its matrix and one fewer
+    for values, need in [((4, 48, 119), 2121), ((5, 69, 28), 2225)]:
+        for budget in (1999, 2000, 2001, need - 1, need):
+            case = (8, [(7, 2), (5, 5), (3, 8)], list(values), 3, MODE_COUPLED, budget)
+            test = example(case)(test)
+    return test
+
+
 @settings(deadline=None, max_examples=300)
 @given(_module_searches())
+@_budget_examples
 def test_column_walk_matches_the_recursive_search(case):
     # same matrix, or the same refusal; the small budgets pin the node
     # accounting, since a budget refuses at the same node in both
@@ -163,6 +176,26 @@ def test_validate_corner_matrix_checks_mode_bounds():
     assert "strict cap" in reason
 
 
+def _nodes_spent(search, s, m, mode):
+    """The fewest nodes a search needs, read off the budgets: a search
+    refuses for want of budget exactly when it needs more nodes."""
+
+    def enough(budget):
+        try:
+            search(s, m, mode, node_budget=budget)
+        except InfeasibleSpec as exc:
+            return not exc.exhausted_budget
+        return True
+
+    low, high = 0, 1  # low is too small, high may not be
+    while not enough(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if enough(mid) else (mid, high)
+    return high
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m):
     # the package re-exports shadow the submodule names, so fetch the module
@@ -171,28 +204,33 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
     original_bottom = ideal_module._corner_bottom
     original_chain = search_module.coupled_chain
     window_sets = []  # the corners of every sub-spec whose windows are built
-    attempts = []  # the corners of every column attempt's pattern
-    walks = []
+    chains = []  # (pattern corners, prefix) of every chain the search walks
+    reference_chains = []  # the same for the unmemoised reference search
 
     def counting_bottom(sub, i, t):
         if i == 0:  # the first window of a sub-spec's set
             window_sets.append(sub.corners)
         return original_bottom(sub, i, t)
 
-    def counting_chain(sub, entries):
-        if not entries:  # the first node of a column attempt
-            attempts.append(sub.corners)
-        walks.append(len(entries))
-        return original_chain(sub, entries)
+    def counting_chain(calls):
+        def chain(sub, entries):
+            calls.append((sub.corners, tuple(entries)))
+            return original_chain(sub, entries)
+
+        return chain
 
     monkeypatch.setattr(ideal_module, "_corner_bottom", counting_bottom)
-    monkeypatch.setattr(search_module, "coupled_chain", counting_chain)
+    monkeypatch.setattr(search_module, "coupled_chain", counting_chain(chains))
+    monkeypatch.setattr(
+        search_reference, "coupled_chain", counting_chain(reference_chains)
+    )
     expected = {
         MODE_COUPLED: ((1, 2, 0), (3, 3, 2), (1, 0, 3)),
         MODE_STRICT: ((3, 0, 0), (1, 7, 0), (0, 1, 3)),
     }
     for mode in (MODE_COUPLED, MODE_STRICT):
         window_sets.clear()
+        chains.clear()
         # a fresh spec each time, since a spec keeps its sub-specs' windows
         s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
         if m == 2:
@@ -203,9 +241,26 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
         # each pattern's windows are built at most once per search
         assert len(window_sets) == len(set(window_sets)) <= 2**s.r - 1
         if mode == MODE_COUPLED:
-            assert set(attempts) <= set(window_sets)
-            assert len(attempts) > len(set(attempts))  # patterns are retried
-            assert len(walks) > len(attempts)  # later nodes reuse the windows
+            assert {corners for corners, _ in chains} <= set(window_sets)
+            # each (pattern, prefix) chain is walked at most once per search
+            assert len(chains) == len(set(chains))
+            # the unmemoised walk visits the same nodes and needs the same
+            # chains, but walks them again on every column attempt: an
+            # empty prefix starts one, and patterns are retried
+            reference_chains.clear()
+            with contextlib.suppress(InfeasibleSpec):
+                search_reference.find_corner_matrix(s, m, mode)
+            assert set(reference_chains) == set(chains)
+            assert len(reference_chains) > len(chains)
+            attempts = [corners for corners, prefix in reference_chains if not prefix]
+            assert len(attempts) > len(set(attempts))
+            # the memo leaves every node in place and keeps at most one cap
+            # (one chain) per node spent
+            kept = len(chains)
+            nodes = _nodes_spent(find_corner_matrix, s, m, mode)
+            reference = search_reference.find_corner_matrix
+            assert nodes == _nodes_spent(reference, s, m, mode) > len(attempts)
+            assert nodes > kept
 
 
 def test_construct_module_builds_each_column_window_once(monkeypatch):

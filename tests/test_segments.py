@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from window_reference import shadow, stratum_list
 
 from stablebetti import (
@@ -13,7 +15,7 @@ from stablebetti import (
     stratum_size,
 )
 from stablebetti.monomials import degree, iter_degree, max_index
-from stablebetti.segments import stratum_member, stratum_rank
+from stablebetti.segments import lex_walk, stratum_member, stratum_rank
 
 
 def _interval(n, top, bottom):
@@ -56,6 +58,31 @@ def test_lex_count_and_unrank_match_listing_exhaustively():
                     assert lex_unrank(n, m, d, j) == u
                 for v in everything:
                     assert lex_count(v, m) == sum(u >= v for u in listed)
+
+
+@st.composite
+def _rank_runs(draw):
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, n))
+    d = draw(st.integers(0, 6))
+    total = math.comb(d + m - 1, m - 1)
+    a = draw(st.integers(1, total))
+    return n, m, d, a, draw(st.integers(a, total + 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_rank_runs())
+@example((4, 1, 5, 1, 2))  # m = 1: x1^5 is the only monomial
+@example((5, 3, 4, 7, 7))  # an empty run
+@example((6, 4, 3, 5, 21))  # a run to the last rank, C(6, 3) = 20
+def test_lex_walk_lists_consecutive_ranks(case):
+    n, m, d, a, b = case
+    first = lex_unrank(n, m, d, a)
+    walked = list(itertools.islice(lex_walk(first, m), b - a))
+    assert walked == [lex_unrank(n, m, d, j) for j in range(a, b)]
+    # left to run, the walk stops after the last rank, x_m^d
+    total = math.comb(d + m - 1, m - 1)
+    assert len(list(lex_walk(first, m))) == total - a + 1
 
 
 def test_shadow_matches_direct_products():
