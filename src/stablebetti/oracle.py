@@ -4,10 +4,13 @@ strongly stable ideals.
 koszul_betti computes exact graded Betti numbers from the homology of
 the Koszul complex, one monomial multidegree at a time, with no
 stability assumption; it is the outside check on the generator formula
-in betti.py. The lcm lattice is built and walked on packed integers; a
-point's total degree is unpacked only for a block with homology, and
-lcm_multidegrees is the sorted, unpacked view. Boundary maps are sparse
-integer columns from one table of signed faces, each checked for
+in betti.py. The pass walks only the non-simplex part of the lcm
+lattice, on packed integers: simplex points form an up-set, so joining
+each generator with the live points alone reaches every live point, and
+a point's total degree is unpacked only for a block with homology.
+lcm_multidegrees is the whole lattice, sorted and unpacked. A block with
+a cone point is acyclic and takes no rank; other boundary maps are
+sparse integer columns from one table of signed faces, each checked for
 d(d) = 0 once per process, and are ranked over Q by exact elimination
 that prefers unit pivots. enumerate_strongly_stable lists the small
 strongly stable ideals themselves, within guard rails and a decision
@@ -107,10 +110,23 @@ def _checked_faces(s: int) -> dict[int, int]:
 
 
 @cache
+def _without(p: int, v: int) -> int:
+    """Bit s set for every subset s of a p-set that leaves out v."""
+    return sum(1 << s for s in range(1 << p) if not s >> v & 1)
+
+
+@cache
 def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
     """Homology dimensions of one block shape: support size p and the
     bitmask of valid subsets. Shapes repeat heavily across multidegrees
-    and across ideals, so the memo lasts the process."""
+    and across ideals, so the memo lasts the process.
+
+    A cone is acyclic, so a shape with a cone point v (adding v to a
+    valid subset leaves it valid) has zero homology and takes no rank;
+    shifting bit s by 1 << v moves it to bit s | v when s leaves out v.
+    """
+    if any((mask & _without(p, v)) << (1 << v) & ~mask == 0 for v in range(p)):
+        return (0,) * (p + 1)
     by_size: list[list[int]] = [[] for _ in range(p + 1)]
     for s in range(1 << p):
         if mask >> s & 1:
@@ -121,34 +137,33 @@ def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
     return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(p + 1))
 
 
-def _lcm_points(ideal: MonomialIdeal) -> set[int]:
-    """All least common multiples of non-empty generator subsets, packed
-    as the ideal's generators are (MonomialIdeal.packed).
+def _joins(points, g: int, guards: int, shift: int) -> set[int]:
+    """The lcm of g with each of the packed points.
 
     On packed monomials an lcm is a field-wise max: the guard bits of ge
     mark the fields where q >= g, and keep widens them to whole fields,
     taken from q there and from g elsewhere.
     """
+    return {
+        q & keep | g & ~keep
+        for q in points
+        for ge in [(q | guards) - g & guards]
+        for keep in [ge - (ge >> shift)]
+    }
+
+
+def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
+    """All least common multiples of non-empty generator subsets, sorted
+    and unpacked: the whole lcm lattice, of which the Koszul pass walks
+    only the non-simplex part (_point_masks)."""
     pk, _top, packed = ideal.packed
     guards, shift = pk.guards, pk.width - 1
     pts: set[int] = set()
     for g in packed:
-        pts |= {
-            q & keep | g & ~keep
-            for q in pts
-            for ge in [(q | guards) - g & guards]
-            for keep in [ge - (ge >> shift)]
-        }
+        pts |= _joins(pts, g, guards, shift)
         pts.add(g)
-    return pts
-
-
-def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
-    """All least common multiples of non-empty generator subsets, sorted:
-    the unpacked view of the packed lattice the Koszul pass walks."""
-    pk = ideal.packed[0]
-    field = (1 << (pk.width - 1)) - 1
-    return sorted(tuple(q >> s & field for s in pk.shifts) for q in _lcm_points(ideal))
+    field = (1 << shift) - 1
+    return sorted(tuple(q >> s & field for s in pk.shifts) for q in pts)
 
 
 @cache
@@ -177,37 +192,57 @@ def _down_set(supp_guards: int, free_guards: int) -> int:
     return table
 
 
-def _point_masks(ideal: MonomialIdeal):
-    """Yield (a, p, mask) for each lcm point a of a nonzero ideal, in no
-    particular order, with a packed as the generators are (_lcm_points).
+def _point_masks(ideal: MonomialIdeal) -> dict[int, tuple[int, int]]:
+    """{a: (p, mask)} for each lcm point a of a nonzero ideal whose block
+    is not a simplex, with a packed as the generators are
+    (MonomialIdeal.packed).
 
     p is the support size of a, and bit s of mask is set when a - e_S
     lies in the ideal, S being the support positions picked by the bits
     of s (bit b for the b-th support variable). That holds exactly when
     S lies inside free(g) = {t : g_t < a_t} for some generator g dividing
-    a, so one pass over the generators replaces a membership test per
-    subset; no stability is assumed.
+    a, so one scan of the generators replaces a membership test per
+    subset; no stability is assumed. A field-wise comparison of all
+    variables is one subtraction: the guard bit of a field survives
+    (a | guards) - g exactly when a_t >= g_t.
 
-    A field-wise comparison of all variables is one subtraction: the
-    guard bit of a field survives (a | guards) - g exactly when a_t >= g_t.
+    The block is a simplex when a - 1_supp(a) lies in the ideal, that is
+    when some generator is free on the whole support; the scan stops at
+    the first such generator. (The empty support of the unit ideal's
+    point is no simplex.) Simplex points form an up-set: a generator
+    dividing a - 1_supp(a) divides b - 1_supp(b) for every b >= a. So
+    every lcm of a subset of a live point's generators is live too, and
+    joining each generator only with the live points found so far
+    reaches every live point. A simplex point is kept in a dead set,
+    scanned once and never joined.
     """
     pk, _top, packed = ideal.packed
-    lows, guards = pk.lows, pk.guards
-    for a in _lcm_points(ideal):
-        top = a | guards
-        supp_guards = (top - lows) & guards
-        p = supp_guards.bit_count()
-        below = top - (supp_guards >> (pk.width - 1))  # g_t < a_t iff g_t <= below_t
-        frees = {
-            (below - g) & supp_guards for g in packed if (top - g) & guards == guards
-        }
-        if supp_guards in frees:
-            mask = (1 << (1 << p)) - 1  # every subset of a free support
-        else:
-            mask = 0
-            for free_guards in frees:
-                mask |= _down_set(supp_guards, free_guards)
-        yield a, p, mask
+    lows, guards, shift = pk.lows, pk.guards, pk.width - 1
+    live: dict[int, tuple[int, int]] = {}
+    dead: set[int] = set()
+    for g in packed:
+        fresh = _joins(live, g, guards, shift)
+        fresh.add(g)
+        for a in fresh:
+            if a in live or a in dead:
+                continue
+            top = a | guards
+            supp_guards = (top - lows) & guards
+            below = top - (supp_guards >> shift)  # g_t < a_t iff g_t <= below_t
+            frees = set()
+            for h in packed:
+                if (top - h) & guards == guards:
+                    free = (below - h) & supp_guards
+                    if free == supp_guards and supp_guards:
+                        dead.add(a)
+                        break
+                    frees.add(free)
+            else:
+                mask = 0
+                for free in frees:
+                    mask |= _down_set(supp_guards, free)
+                live[a] = (supp_guards.bit_count(), mask)
+    return live
 
 
 def _ideal_tor(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
@@ -215,11 +250,7 @@ def _ideal_tor(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
     pk = ideal.packed[0]
     field = (1 << (pk.width - 1)) - 1
     out: dict[tuple[int, int], int] = {}
-    for a, p, mask in _point_masks(ideal):
-        if p and mask >> ((1 << p) - 1) & 1:
-            # a - (1, ..., 1) on a non-empty support is in I: a simplex
-            # block (the empty support of the unit ideal's point is not)
-            continue
+    for a, (p, mask) in _point_masks(ideal).items():
         dims = _shape_homology(p, mask)
         if not any(dims):
             continue
@@ -234,11 +265,12 @@ def _ideal_tor(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
 def koszul_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     """Betti table from Koszul homology; exact, no stability assumption.
 
-    Every nonzero entry of a component sits at an lcm point of its
-    generators, so the table is complete once every lcm point of every
-    component has been visited, each component's entries shifted by f_h.
-    The work grows with the size of the lcm lattice, which nothing here
-    bounds.
+    Every nonzero entry of a component sits at a non-simplex lcm point of
+    its generators, so the table is complete once every such point of
+    every component has been visited, each component's entries shifted
+    by f_h. The work grows with the non-simplex part of the lcm lattice:
+    one scan of the generators per point found, live or simplex, and one
+    join per live point and generator. Nothing here bounds it.
     """
     if isinstance(module, MonomialIdeal):
         module = MonomialSubmodule.of_ideal(module)

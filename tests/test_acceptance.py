@@ -184,17 +184,17 @@ def test_c06_random_specs_realize_and_self_verify():
         spec = CornerSpec(pos.n, pos.corners, _draw_coupled_values(rng, pos))
         built = construct_ideal(spec).ideal
         assert built.is_strongly_stable()
-        assert corner_sequence(ek_betti(built)) == list(
-            zip(spec.corners, spec.values)
-        )
+        table = ek_betti(built)
+        assert corner_sequence(table) == list(zip(spec.corners, spec.values))
+        assert koszul_betti(built) == table
     for _ in range(200):
         spec, m = _sample_module_spec(rng)
         built = realize_module(spec, m)
         assert len(built.module.components) == m
         assert all(c.is_strongly_stable() for c in built.module.components)
-        assert corner_sequence(ek_betti(built.module)) == list(
-            zip(spec.corners, spec.values)
-        )
+        table = ek_betti(built.module)
+        assert corner_sequence(table) == list(zip(spec.corners, spec.values))
+        assert koszul_betti(built.module) == table
 
 
 def _all_admissible_positions(n, max_ell):

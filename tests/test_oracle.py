@@ -323,19 +323,30 @@ def _monomial_sets(draw):
 
 @settings(deadline=None)
 @given(_monomial_sets())
-def test_free_coordinate_masks_match_membership_tests(case):
+@example((2, [(0, 0)]))  # the unit ideal: its empty-support point is live
+# x1^2*x2^2 = lcm(x1^2, x2^2) is a simplex point (x1*x2 divides
+# x1^2*x2^2 / (x1*x2)), found before x3^3 joins the live points x1^2,
+# x1^2*x2, ...; its own join with x3^3 must not be taken
+@example((3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 3)]))
+def test_point_masks_walk_exactly_the_non_simplex_points(case):
+    # The walk finds the lcm points whose reference mask lacks the
+    # full-support bit (a - 1_supp(a) is not in the ideal), and the
+    # empty-support point of the unit ideal, each with its mask.
     n, monos = case
     ideal = MonomialIdeal.from_generators(n, monos)
     pk = ideal.packed[0]
     field = (1 << (pk.width - 1)) - 1
-    points = [
-        (tuple(q >> s & field for s in pk.shifts), p, mask)
-        for q, p, mask in oracle._point_masks(ideal)
-    ]
-    assert sorted(a for a, _p, _mask in points) == lcm_multidegrees(ideal)
-    for a, p, mask in points:
-        assert p == sum(1 for e in a if e)
-        assert mask == reference_mask(ideal, a), a
+    got = {
+        tuple(q >> s & field for s in pk.shifts): shape
+        for q, shape in oracle._point_masks(ideal).items()
+    }
+    want = {}
+    for a in lcm_multidegrees(ideal):
+        p = sum(1 for e in a if e)
+        mask = reference_mask(ideal, a)
+        if not p or not mask >> ((1 << p) - 1) & 1:
+            want[a] = (p, mask)
+    assert got == want
 
 
 @settings(deadline=None)
@@ -371,8 +382,31 @@ def test_shape_homology_refuses_a_boundary_that_does_not_square_to_zero(
         memo.cache_clear()
         request.addfinalizer(memo.cache_clear)
     monkeypatch.setattr(oracle, "_faces", unsigned_faces)
+    # the hollow triangle: every subset of {0, 1, 2} but the whole, no cone
     with pytest.raises(AssertionError, match="does not square to zero"):
-        oracle._shape_homology(2, 0b1111)
+        oracle._shape_homology(3, 0b1111111)
+
+
+def test_cone_shapes_take_no_rank(monkeypatch):
+    ranked = []
+
+    def counting_rank(columns):
+        ranked.append(len(columns))
+        return rank(columns)
+
+    rank = oracle._rank
+    oracle._shape_homology.cache_clear()
+    monkeypatch.setattr(oracle, "_rank", counting_rank)
+    # cones: the full square (any apex), and the two edges {0, 1} and
+    # {1, 2} of a path (apex 1)
+    for p, mask in [(2, 0b1111), (3, 0b1011111)]:
+        assert oracle._shape_homology(p, mask) == (0,) * (p + 1)
+        assert dense_shape_homology(p, mask) == (0,) * (p + 1)
+    assert not ranked
+    # the hollow triangle has a 1-cycle and no cone point
+    assert oracle._shape_homology(3, 0b1111111) == (0, 0, 1, 0)
+    assert ranked
+    oracle._shape_homology.cache_clear()
 
 
 def test_census_frozen_counts():
@@ -574,13 +608,14 @@ def _positions(draw, max_n):
 
 
 def _coupled_values(data, pos):
-    """Values up to 3, each within the coupled cap that the earlier values
+    """Values up to 6, each within the coupled cap that the earlier values
     leave it: feasible by construction, and small enough that each
-    witness's Koszul table takes well under a second."""
+    witness's Koszul table takes about a second at most (n <= 9, every
+    value at its cap of 6)."""
     values = []
     for _ in range(pos.r):
         caps = coupled_chain(pos, values)[0]
-        values.append(data.draw(st.integers(1, min(3, caps[-1]))))
+        values.append(data.draw(st.integers(1, min(6, caps[-1]))))
     return tuple(values)
 
 
