@@ -397,8 +397,8 @@ def test_cone_shapes_take_no_rank(monkeypatch):
     rank = oracle._rank
     oracle._shape_homology.cache_clear()
     monkeypatch.setattr(oracle, "_rank", counting_rank)
-    # cones: the full square (any apex), and the two edges {0, 1} and
-    # {1, 2} of a path (apex 1)
+    # cones: the whole edge {0, 1} (either end is an apex), and the path
+    # of edges {0, 1} and {1, 2} (apex 1)
     for p, mask in [(2, 0b1111), (3, 0b1011111)]:
         assert oracle._shape_homology(p, mask) == (0,) * (p + 1)
         assert dense_shape_homology(p, mask) == (0,) * (p + 1)
@@ -406,7 +406,6 @@ def test_cone_shapes_take_no_rank(monkeypatch):
     # the hollow triangle has a 1-cycle and no cone point
     assert oracle._shape_homology(3, 0b1111111) == (0, 0, 1, 0)
     assert ranked
-    oracle._shape_homology.cache_clear()
 
 
 def test_census_frozen_counts():
