@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import BadRange, MonomialSyntaxError, json_document, json_int
 from .monomials import (
@@ -32,23 +33,27 @@ def canonical_key(u: Monomial) -> tuple:
     return (degree(u), tuple(-e for e in u))
 
 
-def _check_exponents(n: int, g: Monomial) -> None:
-    if len(g) != n:
-        raise BadRange(f"generator {g} has {len(g)} exponents, expected {n}")
-    if min(g, default=0) < 0:
-        raise BadRange(f"negative exponent in {g}")
+def _check_generators(n: int, gens) -> None:
+    """Refuse the first generator that is not n exponents >= 0. Two C-level
+    passes clear a valid list; only a failing one is walked for the message."""
+    if set(map(len, gens)) - {n} or min(chain.from_iterable(gens), default=0) < 0:
+        for g in gens:
+            if len(g) != n:
+                raise BadRange(f"generator {g} has {len(g)} exponents, expected {n}")
+            if min(g, default=0) < 0:
+                raise BadRange(f"negative exponent in {g}")
 
 
 def minimalize(n: int, monos) -> tuple[Monomial, ...]:
     """Drop every monomial that is a multiple of another one.
 
-    A proper divisor has lower degree and so comes first in canonical
-    order: each monomial is tested, packed (monomials.packing), only
-    against the kept ones of lower degree.
+    The distinct monomials are checked in canonical order before they are
+    packed. A proper divisor has lower degree and so comes first in
+    canonical order: each monomial is tested, packed (monomials.packing),
+    only against the kept ones of lower degree.
     """
     items = sorted(set(monos), key=canonical_key)
-    for u in items:
-        _check_exponents(n, u)
+    _check_generators(n, items)
     if not items:
         return ()
     pk = packing(n, max(max(u, default=0) for u in items))
@@ -75,10 +80,10 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
+        """Refuse n < 1, then the first bad generator in the order given."""
         if self.n < 1:
             raise BadRange(f"need n >= 1, got {self.n}")
-        for g in self.gens:
-            _check_exponents(self.n, g)
+        _check_generators(self.n, self.gens)
 
     @classmethod
     def from_generators(cls, n: int, monos) -> "MonomialIdeal":

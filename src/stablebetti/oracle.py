@@ -317,8 +317,13 @@ def enumerate_strongly_stable(
     iterative and exclusion first: it descends excluding every
     candidate, pushing each one outside the shadow as a pending include,
     and on the way back pops the pending includes and tries each in
-    turn. Each node of that tree is one decision. Only the degrees chain
-    as generators, at most max_degree deep.
+    turn. A pending include carries the next degree's shadow so far and
+    an include ORs in its multiples mask (the shadow's own multiples are
+    ORed once per distinct shadow). Passing over a candidate is one
+    decision, and so is finishing a slice; a node charges all of its
+    decisions before it yields, so a budget stops the walk after the same
+    ideals as one charge per decision would. Only the degrees chain as
+    generators, at most max_degree deep.
     """
     if n < 1:
         raise BadRange(f"need n >= 1, got {n}")
@@ -333,8 +338,8 @@ def enumerate_strongly_stable(
         )
     left = [inf if allow_large else CENSUS_DECISIONS]
 
-    def spend():
-        left[0] -= 1
+    def spend(k: int):
+        left[0] -= k
         if left[0] < 0:
             raise BudgetExceeded(
                 f"census decision budget of {CENSUS_DECISIONS} exhausted at "
@@ -359,35 +364,41 @@ def enumerate_strongly_stable(
         for here, up in zip(index, index[1:])
     ]
 
+    @cache
+    def multiples(d: int, shadow: int) -> int:
+        up_shadow = 0
+        for j, (_u, _moves, up) in enumerate(levels[d - 1]):
+            if shadow >> j & 1:
+                up_shadow |= up
+        return up_shadow
+
     def by_degree(d: int, shadow: int, gens: tuple[Monomial, ...]):
         cands = levels[d - 1]
         room = inf if max_gens is None else max_gens - len(gens)
-        included = shadow
+        included, up_shadow = shadow, multiples(d, shadow)
         added: list[Monomial] = []
-        pending: list[tuple[int, int, int]] = []  # (index, included, len(added))
+        # (index, included, up_shadow, len(added))
+        pending: list[tuple[int, int, int, int]] = []
         i = 0
         while True:
+            spend(len(cands) - i + 1)
+            k = len(added)
             for j in range(i, len(cands)):
-                spend()
                 if not shadow >> j & 1:
-                    pending.append((j, included, len(added)))
-            spend()
+                    pending.append((j, included, up_shadow, k))
             if d == max_degree:
                 if gens or added:  # minimal, and in canonical order as added
                     yield MonomialIdeal(n, gens + tuple(added))
             else:
-                next_shadow = 0
-                for j, (_u, _moves, up) in enumerate(cands):
-                    if included >> j & 1:
-                        next_shadow |= up
-                yield from by_degree(d + 1, next_shadow, gens + tuple(added))
+                yield from by_degree(d + 1, up_shadow, gens + tuple(added))
             while pending:
-                i, included, k = pending.pop()
-                u, moves, _up = cands[i]
+                i, included, up_shadow, k = pending.pop()
+                u, moves, up = cands[i]
                 if k < room and not moves & ~included:
                     del added[k:]
                     added.append(u)
                     included |= 1 << i
+                    up_shadow |= up
                     i += 1
                     break
             else:

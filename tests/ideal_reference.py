@@ -36,6 +36,7 @@ def stability_violation(ideal: MonomialIdeal, strong: bool):
     """First failing exchange (generator, i, j, moved), or None."""
     if ideal.is_zero:
         return (None, 0, 0, None)
+    gens = set(ideal.gens)  # a generator divides itself: no scan needed
     for g in ideal.gens:
         if g == unit(ideal.n):
             return (g, 0, 0, None)
@@ -49,8 +50,9 @@ def stability_violation(ideal: MonomialIdeal, strong: bool):
                 moved = list(g)
                 moved[i - 1] -= 1
                 moved[j - 1] += 1
-                if not contains(ideal, tuple(moved)):
-                    return (g, i, j, tuple(moved))
+                moved = tuple(moved)
+                if moved not in gens and not contains(ideal, moved):
+                    return (g, i, j, moved)
     return None
 
 

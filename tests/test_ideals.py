@@ -21,6 +21,7 @@ from stablebetti import (
     parse_module_or_ideal,
     parse_monomial,
 )
+from stablebetti.ideals import canonical_key
 from stablebetti.monomials import mul_var
 
 
@@ -125,8 +126,60 @@ def test_generator_exponents_are_checked():
         MonomialIdeal(2, ((1, 1), (1, 0, 2)))
     with pytest.raises(BadRange, match=r"^negative exponent in \(0, -2\)$"):
         minimalize(2, [(1, 0), (0, -2)])
+    # the first bad generator is the one reported: given order for the
+    # constructor, canonical order (degree first) for minimalize
+    with pytest.raises(
+        BadRange, match=r"^generator \(1,\) has 1 exponents, expected 2$"
+    ):
+        MonomialIdeal(2, ((1, 0), (1,), (0, -1)))
+    with pytest.raises(BadRange, match=r"^negative exponent in \(0, -1\)$"):
+        MonomialIdeal(2, ((1, 0), (0, -1), (1,)))
+    with pytest.raises(
+        BadRange, match=r"^generator \(3,\) has 1 exponents, expected 2$"
+    ):
+        minimalize(2, [(5, -1), (3,)])
+    with pytest.raises(BadRange, match=r"^negative exponent in \(2, -1\)$"):
+        minimalize(2, [(1,), (2, -1)])
+    with pytest.raises(BadRange, match=r"^generator \(\) has 0 exponents, expected 1$"):
+        MonomialIdeal(1, ((),))
+    # an empty generator list has nothing to check
+    assert MonomialIdeal(2, ()).is_zero
+    assert minimalize(2, []) == ()
     # the empty exponent vector of n = 0 has no minimum, and is not negative
     assert minimalize(0, [()]) == ((),)
+    with pytest.raises(BadRange, match=r"^need n >= 1, got 0$"):
+        MonomialIdeal(0, ((),))
+
+
+def _first_bad_generator(n, gens):
+    """The message of the first generator, in the order given, that is not
+    n exponents >= 0, checked one generator at a time; None if all pass."""
+    for g in gens:
+        if len(g) != n:
+            return f"generator {g} has {len(g)} exponents, expected {n}"
+        if min(g, default=0) < 0:
+            return f"negative exponent in {g}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bulk_generator_check_reports_the_per_generator_message(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    gens = data.draw(st.lists(_monomials(n, 4), max_size=8), label="gens")
+    # one to three bad entries: a wrong length, a negative exponent, or both
+    for _ in range(data.draw(st.integers(1, 3), label="bad")):
+        size = data.draw(st.integers(0, n + 2).filter(lambda k: k != n) | st.just(n))
+        bad = data.draw(st.tuples(*[st.integers(-3, 3)] * size), label="bad entry")
+        assume(_first_bad_generator(n, [bad]))
+        gens.insert(data.draw(st.integers(0, len(gens)), label="at"), bad)
+    for build, order in [
+        (lambda: MonomialIdeal(n, tuple(gens)), gens),
+        (lambda: minimalize(n, gens), sorted(set(gens), key=canonical_key)),
+    ]:
+        with pytest.raises(BadRange) as caught:
+            build()
+        assert str(caught.value) == _first_bad_generator(n, order)
 
 
 def test_submodule_validation():

@@ -495,12 +495,17 @@ def _census_outcome(enumerate_ss, n, max_degree, max_gens=None):
     return out, None
 
 
-@pytest.mark.parametrize("n, max_degree", [(4, 4), (3, 6), (5, 3)])
-def test_census_walk_matches_the_recursive_reference(n, max_degree):
-    got = _census_outcome(enumerate_strongly_stable, n, max_degree)
+@pytest.mark.parametrize(
+    "n, max_degree, max_gens",
+    # the largest censuses inside the rails, whole and cut by max_gens
+    [(4, 4, None), (3, 6, None), (5, 3, None), (5, 3, 4), (3, 6, 5), (4, 4, 3)],
+    ids=["4-4", "3-6", "5-3", "5-3-4", "3-6-5", "4-4-3"],
+)
+def test_census_walk_matches_the_recursive_reference(n, max_degree, max_gens):
+    got = _census_outcome(enumerate_strongly_stable, n, max_degree, max_gens)
     assert got[1] is None and got[0]
     assert got == _census_outcome(
-        census_reference.enumerate_strongly_stable, n, max_degree
+        census_reference.enumerate_strongly_stable, n, max_degree, max_gens
     )
 
 
