@@ -98,18 +98,20 @@ def ek_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
 def extremal_from_table(table: BettiTable) -> list[tuple[Corner, int]]:
     """All extremal entries of the table, as ((k, l), value), k descending.
 
-    Pure definition scan; k = 0 entries are included when extremal.
+    One sweep, k descending, then l descending. Within one k only the entry
+    of largest l can be extremal, as it dominates the rest of its column;
+    it is, exactly when its l exceeds every l at a larger k. Every key
+    counts, a zero value too; k = 0 entries are included when extremal.
     """
     corners = []
-    keys = [(i, j - i) for (i, j) in table.entries]
-    for (i, j), value in table.entries.items():
-        k, ell = i, j - i
-        dominated = any(
-            (i2, l2) != (k, ell) and i2 >= k and l2 >= ell for (i2, l2) in keys
-        )
-        if not dominated:
-            corners.append((Corner(k, ell), value))
-    corners.sort(key=lambda cv: (-cv[0].k, cv[0].ell))
+    best = last = None
+    # (i, j) descending is k descending, then l = j - i descending
+    for (k, j), value in sorted(table.entries.items(), reverse=True):
+        if k != last:
+            last = k
+            if best is None or j - k > best:
+                best = j - k
+                corners.append((Corner(k, best), value))
     return corners
 
 
@@ -207,23 +209,22 @@ def render_diagram(table: BettiTable, corners: set[Corner] | None = None) -> str
     """
     if table.is_zero:
         return "(zero module)"
-    corners = corners or set()
-    max_i = max(i for i, _j in table.entries)
-    rows_idx = sorted({j - i - 1 for i, j in table.entries})
-    row_lo, row_hi = rows_idx[0], rows_idx[-1]
+    corners = corners or ()
     cells: dict[tuple[int, int], str] = {}
+    widths: dict[int, int] = {}
     for (i, j), v in table.entries.items():
-        mark = "*" if Corner(i, j - i) in corners else ""
-        cells[(j - i - 1, i)] = f"{v}{mark}"
-    col_width = [
-        max([len(cells.get((r, i), ".")) for r in range(row_lo, row_hi + 1)] + [1])
-        for i in range(max_i + 1)
-    ]
-    label_width = max(len(str(r)) for r in range(row_lo, row_hi + 1))
+        cell = f"{v}*" if (i, j - i) in corners else str(v)
+        cells[j - i - 1, i] = cell
+        if len(cell) > widths.get(i, 0):
+            widths[i] = len(cell)
+    row_lo, row_hi = min(cells)[0], max(cells)[0]
+    # a column with no entry holds only dots, of width 1
+    columns = [(i, widths.get(i, 1)) for i in range(max(widths) + 1)]
+    # the widest label is at one end: the most negative or the largest row
+    label_width = max(len(str(row_lo)), len(str(row_hi)))
     lines = []
     for r in range(row_lo, row_hi + 1):
-        parts = [f"{r:>{label_width}}:"]
-        for i in range(max_i + 1):
-            parts.append(f"{cells.get((r, i), '.'):>{col_width[i]}}")
+        parts = [str(r).rjust(label_width) + ":"]
+        parts.extend(cells.get((r, i), ".").rjust(w) for i, w in columns)
         lines.append(" ".join(parts))
     return "\n".join(lines)

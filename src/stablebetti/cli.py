@@ -137,8 +137,8 @@ def _read_input(path: str, stdin) -> str:
 
 
 def _dump(obj: dict, stdout) -> None:
-    json.dump(obj, stdout, indent=2, sort_keys=True)
-    stdout.write("\n")
+    # one write: json.dump writes once per chunk
+    stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _stars(table):

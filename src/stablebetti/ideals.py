@@ -80,9 +80,12 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        """Refuse n < 1, then the first bad generator in the order given."""
+        """Refuse n < 1, then the first bad generator in the order given.
+        Generators given as a list are stored as a tuple, so the ideal hashes."""
         if self.n < 1:
             raise BadRange(f"need n >= 1, got {self.n}")
+        if not isinstance(self.gens, tuple):
+            object.__setattr__(self, "gens", tuple(self.gens))
         _check_generators(self.n, self.gens)
 
     @classmethod

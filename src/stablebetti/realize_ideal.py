@@ -361,14 +361,15 @@ class IdealRealization:
     table: BettiTable  # the witness's Betti table, from its verification
 
     def to_obj(self) -> dict:
+        blocks = [[format_monomial(u) for u in block] for block in self.blocks]
+        # construct_ideal lists the witness as the blocks concatenated
+        generators = [g for block in blocks for g in block]
         return {
             "spec": self.spec.to_obj(),
             "mode": self.mode,
-            "witness": self.ideal.to_obj(),
+            "witness": {"n": self.ideal.n, "generators": generators},
             "picks": [format_monomial(u) for u in self.picks],
-            "blocks": [
-                [format_monomial(u) for u in block] for block in self.blocks
-            ],
+            "blocks": blocks,
             "bounds": self.bound_report.to_obj(),
             "verdicts": {
                 MODE_STRICT: self.strict_verdict.to_obj(),

@@ -3,7 +3,13 @@ import math
 
 import pytest
 from conftest import patch_everywhere
-from corner_reference import extremal_from_generators
+from corner_reference import (
+    extremal_by_definition,
+    extremal_from_generators,
+    reference_diagram,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablebetti import (
     BettiTable,
@@ -15,6 +21,7 @@ from stablebetti import (
     corner_sequence,
     ek_betti,
     extremal_from_table,
+    koszul_betti,
     max_index,
     module_corner_report,
     render_diagram,
@@ -179,6 +186,38 @@ def test_render_diagram_multirow():
     assert lines[0].startswith("1:")
     assert lines[-1].startswith("2:")
     assert "*" in lines[-1]
+
+
+# sparse tables: k and l in 0..5, so k repeats and l = 0 (row -1) is common
+_tables = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda kl: (kl[0], sum(kl))),
+    st.integers(0, 10**7) | st.just(0),
+    max_size=24,
+).map(lambda entries: BettiTable(6, entries))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_tables)
+def test_corner_sweep_matches_the_pairwise_definition(table):
+    assert extremal_from_table(table) == extremal_by_definition(table)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_tables, st.data())
+def test_render_diagram_matches_the_cell_by_cell_reference(table, data):
+    keys = [Corner(i, j - i) for i, j in sorted(table.entries)]
+    stars = data.draw(st.none() | st.sets(st.sampled_from(keys)) if keys else st.none())
+    assert render_diagram(table, stars) == reference_diagram(table, stars)
+
+
+def test_render_diagram_of_the_unit_ideal_has_row_minus_one():
+    table = koszul_betti(MonomialIdeal(3, ((0, 0, 0),)))
+    stars = {c for c, _v in corner_sequence(table)}
+    assert render_diagram(table, stars) == "-1: 1" == reference_diagram(table, stars)
+    both = BettiTable(3, {(0, 0): 1, (2, 14): 12, (1, 1): 0})
+    assert render_diagram(both, {Corner(2, 12)}) == reference_diagram(
+        both, {Corner(2, 12)}
+    )
 
 
 def _ek_entries_per_generator(module):

@@ -24,7 +24,7 @@ from stablebetti import (
     realize_module,
 )
 from stablebetti import errors, oracle
-from stablebetti.cli import _UsageError, run
+from stablebetti.cli import _UsageError, _dump, run
 from stablebetti.monomials import format_monomial
 from test_cli_snapshot import CASES, EXPECTED, _snapshot
 
@@ -216,6 +216,17 @@ def test_realize_ideal_round_trip():
     assert payload["mode"] == "coupled"
     assert len(payload["witness"]["generators"]) == 13
     assert payload["picks"] == ["x1*x6", "x2*x4^2", "x3^5"]
+
+
+def test_dump_writes_what_json_dump_writes():
+    _code, out, _err = invoke(["realize-ideal"], json.dumps(SPEC3))
+    doc = json.loads(out)
+    for obj in (doc, {}, {"b": [1, {"a": None}], "a": "x\u00e9"}):
+        once, chunked = io.StringIO(), io.StringIO()
+        _dump(obj, once)
+        json.dump(obj, chunked, indent=2, sort_keys=True)
+        chunked.write("\n")
+        assert once.getvalue() == chunked.getvalue()
 
 
 def test_realize_ideal_uncovered_exit_3():

@@ -117,6 +117,15 @@ def test_json_round_trip():
         MonomialIdeal.from_obj({"n": 2, "generators": [7]})
 
 
+def test_generators_given_as_a_list_are_stored_as_a_tuple():
+    from_list = MonomialIdeal(2, [(1, 0), (0, 1)])
+    from_tuple = MonomialIdeal(2, ((1, 0), (0, 1)))
+    assert type(from_list.gens) is tuple
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert from_tuple.gens is MonomialIdeal(2, from_tuple.gens).gens
+
+
 def test_generator_exponents_are_checked():
     with pytest.raises(BadRange, match=r"^negative exponent in \(1, -1\)$"):
         MonomialIdeal(2, ((1, -1),))

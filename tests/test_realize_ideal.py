@@ -335,6 +335,8 @@ def test_construct_ideal_agrees_with_the_separate_entry_points(s, mode):
     assert out.strict_verdict == check_values(s, MODE_STRICT)
     assert out.coupled_verdict == check_values(s, MODE_COUPLED)
     assert list(out.picks) == coupled_chain(s, s.values)[1]
+    # the report formats the blocks once and concatenates them
+    assert out.to_obj()["witness"] == out.ideal.to_obj()
 
 
 def _outcome(fn, *args):
