@@ -14,7 +14,6 @@ extremal entries (free-module tails) are reported separately.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -85,13 +84,14 @@ def ek_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     if isinstance(module, MonomialIdeal):
         module = MonomialSubmodule.of_ideal(module)
     _require_stable(module)
-    # one binomial per (max index, module degree) group of generators
+    # per (max index, module degree) group, count * C(top - 1, k) stepped along k
     groups = Counter((max_index(g), f) for _h, g, f in module.module_generators())
     entries: dict[tuple[int, int], int] = {}
     for (top, mod_deg), count in groups.items():
         for k in range(top):
             key = (k, k + mod_deg)
-            entries[key] = entries.get(key, 0) + count * math.comb(top - 1, k)
+            entries[key] = entries.get(key, 0) + count
+            count = count * (top - 1 - k) // (k + 1)
     return BettiTable(module.n, entries)
 
 

@@ -21,12 +21,17 @@ def json_int(value, what: str, error: type[StableBettiError]) -> int:
 
 def json_document(text: str):
     """json.loads(text), except that a document nested deeper than the
-    parser can follow raises json.JSONDecodeError like any other malformed
-    document, not RecursionError."""
+    parser can follow, or holding an integer of more digits than int()
+    converts, raises json.JSONDecodeError like any other malformed
+    document, not RecursionError or ValueError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("document nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refuses a string past its digit limit
+        raise json.JSONDecodeError("number with too many digits", text, 0) from None
 
 
 class MonomialSyntaxError(StableBettiError):

@@ -22,7 +22,6 @@ from .monomials import (
     format_monomial,
     initial_segment,
     max_index,
-    mul_var,
     packing,
     parse_monomial,
 )
@@ -85,7 +84,7 @@ class MonomialIdeal:
         if self.n < 1:
             raise BadRange(f"need n >= 1, got {self.n}")
         if not isinstance(self.gens, tuple):
-            object.__setattr__(self, "gens", tuple(self.gens))
+            object.__setattr__(self, "gens", tuple(map(tuple, self.gens)))
         _check_generators(self.n, self.gens)
 
     @classmethod
@@ -123,6 +122,11 @@ class MonomialIdeal:
     def _stability_violation(self, strong: bool):
         """First failing exchange, or None. Unit/zero ideals always fail.
 
+        Adjacent exchanges x_{i-1}/x_i settle the strong verdict: inside for
+        every generator g, they are inside for every g * z (x_i divides g or
+        z), and x_j/x_i chains x_j/x_{j+1} ... x_{i-1}/x_i, each step taking
+        the variable the last brought in. The ordered scan only names a failure.
+
         Generators are scanned in order, and for each the exchanges
         (i, j) with i ascending, then j ascending: every i with x_i
         dividing the generator when strong, only its largest one when not.
@@ -142,25 +146,31 @@ class MonomialIdeal:
         known = set(packed)  # a field holds top + 1 too, so q below is exact
         gens = set(self.gens)
         degrees = sorted({degree(g) for g in self.gens}, reverse=True)
-        for g, pg in zip(self.gens, packed):
-            if not pg:
-                return (g, 0, 0, None)
-            lower = [e for e in degrees if e < degree(g)]
-            i_range = [max_index(g)] if not strong else [
-                i for i in range(2, self.n + 1) if g[i - 1]
-            ]
-            for i in i_range:
-                lowered = pg - bits[i - 1]
-                for j in range(1, i):
-                    q = lowered + bits[j - 1]
-                    if q in known:
+        lowers = {d: [e for e in degrees if e < d] for d in degrees}
+
+        def first_miss(adjacent: bool):
+            for g, pg in zip(self.gens, packed):
+                if not pg:
+                    return (g, 0, 0, None)
+                lower = lowers[degree(g)]
+                for i in range(2, self.n + 1) if strong else (max_index(g),):
+                    if not g[i - 1]:
                         continue
-                    moved = mul_var(mul_var(g, i, -1), j)
-                    if not any(initial_segment(moved, e) in gens for e in lower):
-                        if not self.contains(moved):
-                            return (g, i, j, moved)
-                    known.add(q)
-        return None
+                    lowered = pg - bits[i - 1]
+                    for j in range(i - 1 if adjacent else 1, i):
+                        q = lowered + bits[j - 1]
+                        if q in known:
+                            continue
+                        moved = g[: j - 1] + (g[j - 1] + 1,) + g[j : i - 1]
+                        moved += (g[i - 1] - 1,) + g[i:]
+                        if not any(initial_segment(moved, e) in gens for e in lower):
+                            if not self.contains(moved):
+                                return (g, i, j, moved)
+                        known.add(q)
+            return None
+        if strong and first_miss(adjacent=True) is None:
+            return None
+        return first_miss(adjacent=False)
 
     # Each verdict is computed once per ideal; strong stability implies stability.
     @cached_property

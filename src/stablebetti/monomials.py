@@ -123,8 +123,11 @@ def parse_monomial(text: str, n: int) -> Monomial:
         m = _FACTOR_RE.match(factor)
         if not m:
             raise MonomialSyntaxError(f"bad factor {factor!r} in {text!r}")
-        idx = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            idx = int(m.group(1))
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:  # int() refuses a string past its digit limit
+            raise MonomialSyntaxError("number with too many digits") from None
         if not 1 <= idx <= n:
             raise MonomialSyntaxError(f"variable x{idx} outside x1..x{n}")
         if exp < 1:

@@ -10,6 +10,7 @@ from corner_reference import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ideal_reference import borel_closure
 
 from stablebetti import (
     BettiTable,
@@ -230,6 +231,36 @@ def _ek_entries_per_generator(module):
             key = (k, k + mod_deg)
             entries[key] = entries.get(key, 0) + math.comb(top - 1, k)
     return entries
+
+
+def test_stepped_binomials_match_math_comb_on_long_groups():
+    # the maximal ideal in 200 variables has one group for each top up to
+    # 200; its square in 40 has t generators in the group of top t
+    maximal = MonomialIdeal(
+        200, tuple(tuple(int(t == i) for t in range(200)) for i in range(200))
+    )
+    pairs = [(a, b) for a in range(40) for b in range(a, 40)]
+    square = MonomialIdeal.from_generators(
+        40, [tuple((t == a) + (t == b) for t in range(40)) for a, b in pairs]
+    )
+    for ideal in (maximal, square):
+        module = MonomialSubmodule.of_ideal(ideal)
+        assert ek_betti(module).entries == _ek_entries_per_generator(module)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_stepped_binomials_match_math_comb_on_random_groups(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    seed = st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any)
+    closures = st.lists(seed, min_size=1, max_size=3).map(lambda s: borel_closure(n, s))
+    ideals = data.draw(st.lists(closures, min_size=1, max_size=3), label="components")
+    m = len(ideals)
+    shifts = sorted(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+    module = MonomialSubmodule(n, tuple(ideals), tuple(shifts))
+    assert list(ek_betti(module).entries.items()) == list(
+        _ek_entries_per_generator(module).items()
+    )
 
 
 def test_grouped_generator_formula_keeps_entries_and_their_order(

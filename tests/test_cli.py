@@ -147,6 +147,28 @@ def test_json_nested_past_the_parser_is_malformed_json():
         }
 
 
+def test_long_digit_strings_are_refused_without_a_traceback():
+    # int() converts at most 4,300 digits: a longer JSON number is malformed
+    # JSON for every reader, and a longer exponent or index a syntax error
+    number = '{"n": 1' + "0" * 5000 + ', "generators": ["x1"], "corners": []}'
+    for command in _READERS:
+        code, out, err = invoke([command], number)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "JSONDecodeError",
+            "message": "number with too many digits: line 1 column 1 (char 0)",
+        }
+    for factor in ("x1^" + "9" * 5000, "x" + "9" * 5000):
+        doc = json.dumps({"n": 1, "generators": [factor]})
+        for command in _READERS[:5]:
+            code, out, err = invoke([command], doc)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {
+                "error": "MonomialSyntaxError",
+                "message": "number with too many digits",
+            }
+
+
 def test_error_payload_shape():
     _code, _out, err = invoke(["betti"], UNSTABLE)
     payload = json.loads(err)

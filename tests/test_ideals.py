@@ -124,6 +124,11 @@ def test_generators_given_as_a_list_are_stored_as_a_tuple():
     assert from_list == from_tuple
     assert hash(from_list) == hash(from_tuple)
     assert from_tuple.gens is MonomialIdeal(2, from_tuple.gens).gens
+    # inner lists become tuples too, so the ideal hashes and can be scanned
+    from_lists = MonomialIdeal(2, [[1, 0], [0, 1]])
+    assert from_lists.gens == from_tuple.gens
+    assert from_lists == from_tuple and hash(from_lists) == hash(from_tuple)
+    assert from_lists.is_strongly_stable()
 
 
 def test_generator_exponents_are_checked():
@@ -270,6 +275,44 @@ def test_packed_membership_matches_the_tuple_scan(data):
             assert ideal.stability_violation(strong) == reference.stability_violation(
                 ideal, strong
             ), (ideal, strong)
+
+
+def _adjacent_exchanges(g):
+    """x_{i-1} * g / x_i for every x_i (i >= 2) dividing g."""
+    for i in range(1, len(g)):
+        if g[i]:
+            yield g[: i - 1] + (g[i - 1] + 1, g[i] - 1) + g[i + 1 :]
+
+
+def test_an_adjacent_miss_still_names_the_first_exchange_in_scan_order():
+    # (x3): the adjacent pass misses at (i=3, j=2) first, but the scan, i
+    # ascending and then j ascending, meets (i=3, j=1) before it
+    ideal = MonomialIdeal(3, ((0, 0, 1),))
+    assert ideal.stability_violation(strong=True) == ((0, 0, 1), 3, 1, (1, 0, 0))
+    assert ideal.stability_violation(strong=True) == reference.stability_violation(
+        ideal, True
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_strong_stability_is_decided_by_the_adjacent_exchanges(data):
+    # a list that is not empty and holds no unit is strongly stable exactly
+    # when every adjacent exchange of every listed generator lies inside
+    n = data.draw(st.integers(1, 6), label="n")
+    gens = data.draw(st.lists(_monomials(n, 4), max_size=10), label="gens")
+    lists = [gens]  # unsorted, non-minimal, repeats and the unit kept
+    if gens:
+        closed = reference.borel_closure(n, gens[:2]).gens
+        shuffled = data.draw(st.permutations(closed), label="shuffled")
+        lists += [shuffled, shuffled[1:], closed[:-1] + closed[-1:] * 2]
+    for listed in lists:
+        ideal = MonomialIdeal(n, tuple(listed))
+        inside = all(
+            reference.contains(ideal, u) for g in listed for u in _adjacent_exchanges(g)
+        )
+        proper = bool(listed) and (0,) * n not in listed
+        assert ideal.is_strongly_stable() == (proper and inside), listed
 
 
 def test_contains_clamps_exponents_above_every_generator():
