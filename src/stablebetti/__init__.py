@@ -44,11 +44,7 @@ from .monomials import (
     max_index,
     parse_monomial,
 )
-from .oracle import (
-    enumerate_strongly_stable,
-    koszul_betti,
-    lcm_multidegrees,
-)
+from .oracle import enumerate_strongly_stable, koszul_betti
 from .realize_ideal import (
     MODE_COUPLED,
     MODE_STRICT,
@@ -118,7 +114,6 @@ __all__ = [
     "find_corner_matrix",
     "format_monomial",
     "koszul_betti",
-    "lcm_multidegrees",
     "lex_count",
     "lex_unrank",
     "max_index",

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NotStable
+from .errors import BudgetExceeded, NotStable
 from .ideals import MonomialIdeal, MonomialSubmodule
 from .monomials import format_monomial, max_index
 
@@ -203,9 +203,13 @@ def module_corner_report(module: MonomialSubmodule) -> dict:
     }
 
 
+MAX_DIAGRAM_ROWS = 10_000  # rows one diagram may span
+
+
 def render_diagram(table: BettiTable, corners: set[Corner] | None = None) -> str:
     """ASCII diagram: columns are homological index i, a degree-l block sits
     on row l-1, zero entries print as dots, corner entries carry a star.
+    A span of more than MAX_DIAGRAM_ROWS rows raises BudgetExceeded.
     """
     if table.is_zero:
         return "(zero module)"
@@ -218,6 +222,9 @@ def render_diagram(table: BettiTable, corners: set[Corner] | None = None) -> str
         if len(cell) > widths.get(i, 0):
             widths[i] = len(cell)
     row_lo, row_hi = min(cells)[0], max(cells)[0]
+    span = row_hi - row_lo + 1
+    if span > MAX_DIAGRAM_ROWS:  # refused before any row is built
+        raise BudgetExceeded(f"diagram spans {span} rows, cap {MAX_DIAGRAM_ROWS}")
     # a column with no entry holds only dots, of width 1
     columns = [(i, widths.get(i, 1)) for i in range(max(widths) + 1)]
     # the widest label is at one end: the most negative or the largest row

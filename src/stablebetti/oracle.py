@@ -8,14 +8,14 @@ in betti.py. The pass walks only the non-simplex part of the lcm
 lattice, on packed integers: simplex points form an up-set, so joining
 each generator with the live points alone reaches every live point, and
 a point's total degree is unpacked only for a block with homology.
-lcm_multidegrees is the whole lattice, sorted and unpacked. A block with
-a cone point is acyclic and takes no rank; other boundary maps are
-sparse integer columns from one table of signed faces, each checked for
-d(d) = 0 once per process, and are ranked over Q by exact elimination
-that prefers unit pivots. enumerate_strongly_stable lists the small
-strongly stable ideals themselves, within guard rails and a decision
-budget: it walks each degree's Borel-closed slices as bitmasks over
-that degree's monomials, iteratively within a degree.
+A block's valid subsets are one bitmask, an OR of shift-OR down-set
+tables. A block with a cone point is acyclic and takes no rank; other
+boundary maps are sparse integer columns from one table of signed faces,
+each checked for d(d) = 0 once per process, and are ranked over Q by
+exact elimination that prefers unit pivots. enumerate_strongly_stable
+lists the small strongly stable ideals themselves, within guard rails
+and a decision budget: it walks each degree's Borel-closed slices as
+bitmasks over that degree's monomials, iteratively within a degree.
 
 The multidegree decomposition rests on two standard facts. Nonzero
 homology only occurs in multidegrees that are least common multiples of
@@ -110,9 +110,23 @@ def _checked_faces(s: int) -> dict[int, int]:
 
 
 @cache
-def _without(p: int, v: int) -> int:
-    """Bit s set for every subset s of a p-set that leaves out v."""
-    return sum(1 << s for s in range(1 << p) if not s >> v & 1)
+def _down_set(supp: int, free: int) -> int:
+    """Down-set table of a support and a free set inside it, given as set
+    bits (packed guard bits in _point_masks, plain bits in the cone test):
+    bit s is set exactly when the subset s of support positions (bit b
+    for the b-th support bit) lies inside the free ones. From the empty
+    subset, each free position b doubles the table, table << (1 << b)
+    adding b to every subset so far. In _point_masks there are at most
+    3^n keys per field width (the two n = 8 chain fixtures make 1,551)."""
+    table = 1
+    b = 0
+    while supp:
+        low = supp & -supp
+        if free & low:
+            table |= table << (1 << b)
+        supp ^= low
+        b += 1
+    return table
 
 
 @cache
@@ -123,10 +137,13 @@ def _shape_homology(p: int, mask: int) -> tuple[int, ...]:
 
     A cone is acyclic, so a shape with a cone point v (adding v to a
     valid subset leaves it valid) has zero homology and takes no rank;
-    shifting bit s by 1 << v moves it to bit s | v when s leaves out v.
+    shifting bit s by 1 << v moves it to bit s | v when s leaves out v,
+    and the subsets that leave out v are the down-set of the rest.
     """
-    if any((mask & _without(p, v)) << (1 << v) & ~mask == 0 for v in range(p)):
-        return (0,) * (p + 1)
+    full = (1 << p) - 1
+    for v in range(p):
+        if (mask & _down_set(full, full ^ 1 << v)) << (1 << v) & ~mask == 0:
+            return (0,) * (p + 1)
     by_size: list[list[int]] = [[] for _ in range(p + 1)]
     for s in range(1 << p):
         if mask >> s & 1:
@@ -152,46 +169,6 @@ def _joins(points, g: int, guards: int, shift: int) -> set[int]:
     }
 
 
-def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
-    """All least common multiples of non-empty generator subsets, sorted
-    and unpacked: the whole lcm lattice, of which the Koszul pass walks
-    only the non-simplex part (_point_masks)."""
-    pk, _top, packed = ideal.packed
-    guards, shift = pk.guards, pk.width - 1
-    pts: set[int] = set()
-    for g in packed:
-        pts |= _joins(pts, g, guards, shift)
-        pts.add(g)
-    field = (1 << shift) - 1
-    return sorted(tuple(q >> s & field for s in pk.shifts) for q in pts)
-
-
-@cache
-def _down_set(supp_guards: int, free_guards: int) -> int:
-    """Down-set table of (support guards, free guards), as built in
-    _point_masks: bit s is set exactly when the subset s of support
-    positions lies inside the free ones. The free guards are a subset of
-    the support guards, so there are at most 3^n keys per field width
-    (the two n = 8 chain fixtures make 1,551)."""
-    free = 0
-    rest = supp_guards
-    b = 0
-    while rest:
-        low = rest & -rest
-        if free_guards & low:
-            free |= 1 << b
-        rest ^= low
-        b += 1
-    table = 0
-    s = free
-    while True:
-        table |= 1 << s
-        if not s:
-            break
-        s = (s - 1) & free
-    return table
-
-
 def _point_masks(ideal: MonomialIdeal) -> dict[int, tuple[int, int]]:
     """{a: (p, mask)} for each lcm point a of a nonzero ideal whose block
     is not a simplex, with a packed as the generators are
@@ -202,9 +179,10 @@ def _point_masks(ideal: MonomialIdeal) -> dict[int, tuple[int, int]]:
     of s (bit b for the b-th support variable). That holds exactly when
     S lies inside free(g) = {t : g_t < a_t} for some generator g dividing
     a, so one scan of the generators replaces a membership test per
-    subset; no stability is assumed. A field-wise comparison of all
-    variables is one subtraction: the guard bit of a field survives
-    (a | guards) - g exactly when a_t >= g_t.
+    subset: each dividing generator ORs the down-set table of its free
+    set (_down_set) into mask. No stability is assumed. A field-wise
+    comparison of all variables is one subtraction: the guard bit of a
+    field survives (a | guards) - g exactly when a_t >= g_t.
 
     The block is a simplex when a - 1_supp(a) lies in the ideal, that is
     when some generator is free on the whole support; the scan stops at
@@ -229,18 +207,15 @@ def _point_masks(ideal: MonomialIdeal) -> dict[int, tuple[int, int]]:
             top = a | guards
             supp_guards = (top - lows) & guards
             below = top - (supp_guards >> shift)  # g_t < a_t iff g_t <= below_t
-            frees = set()
+            mask = 0
             for h in packed:
                 if (top - h) & guards == guards:
                     free = (below - h) & supp_guards
                     if free == supp_guards and supp_guards:
                         dead.add(a)
                         break
-                    frees.add(free)
-            else:
-                mask = 0
-                for free in frees:
                     mask |= _down_set(supp_guards, free)
+            else:
                 live[a] = (supp_guards.bit_count(), mask)
     return live
 

@@ -6,9 +6,11 @@ sparse boundary columns by unit-pivot elimination, and builds the lcm
 lattice on packed integers. These are the straightforward versions they
 replaced: one membership test per subset, a dense product of consecutive
 boundary matrices, dense Bareiss elimination, and a lattice of tuples.
-The tests compare the two exactly. GradedComplexSlice goes one step
-further back: the whole Koszul complex of a module in one internal
-degree, with dense matrices, straight from the definition.
+The tests compare the two exactly. lcm_multidegrees is the whole packed
+lattice, sorted and unpacked, which the pass itself never lists.
+GradedComplexSlice goes one step further back: the whole Koszul complex
+of a module in one internal degree, with dense matrices, straight from
+the definition.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 from ideal_reference import graded_slice
 
+from stablebetti import oracle
 from stablebetti.ideals import MonomialIdeal, MonomialSubmodule
 from stablebetti.monomials import Monomial, mul_var
 
@@ -46,6 +49,21 @@ def integer_rank(rows: list[list[int]]) -> int:
         if row == nrows:
             break
     return rank
+
+
+def lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:
+    """All least common multiples of non-empty generator subsets, sorted
+    and unpacked: the whole lcm lattice, joined on packed integers by the
+    oracle's own field-wise max, of which the Koszul pass walks only the
+    non-simplex part (oracle._point_masks)."""
+    pk, _top, packed = ideal.packed
+    guards, shift = pk.guards, pk.width - 1
+    pts: set[int] = set()
+    for g in packed:
+        pts |= oracle._joins(pts, g, guards, shift)
+        pts.add(g)
+    field = (1 << shift) - 1
+    return sorted(tuple(q >> s & field for s in pk.shifts) for q in pts)
 
 
 def tuple_lcm_multidegrees(ideal: MonomialIdeal) -> list[Monomial]:

@@ -392,6 +392,21 @@ def test_realize_ideal_refuses_a_witness_past_the_generator_cap():
     }
 
 
+@pytest.mark.parametrize("command", ["diagram", "betti", "oracle-betti"])
+def test_diagram_past_its_row_cap_is_refused(command):
+    # one row per degree from 0 to 999,999: the span is known from the
+    # table's keys before any row is built
+    doc = {"n": 2, "generators": ["x1", "x2^1000000"]}
+    started = time.perf_counter()
+    code, out, err = invoke([command], json.dumps(doc))
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "diagram spans 1000000 rows, cap 10000",
+    }
+
+
 def test_check_stable_settles_stability_from_the_strong_verdict(monkeypatch):
     # the strong verdicts are asked first, so a strongly stable input is
     # scanned once per component and its weak verdict follows from it

@@ -17,6 +17,7 @@ from koszul_reference import (
     dense_shape_homology,
     downward_closed_masks,
     integer_rank,
+    lcm_multidegrees,
     reference_mask,
     tuple_lcm_multidegrees,
 )
@@ -35,7 +36,6 @@ from stablebetti import (
     ek_betti,
     enumerate_strongly_stable,
     koszul_betti,
-    lcm_multidegrees,
     parse_monomial,
 )
 from stablebetti import oracle
@@ -172,6 +172,55 @@ def test_rank_over_q_on_the_projective_plane(monkeypatch):
 def test_koszul_matches_generator_formula_on_small_census():
     for ideal in enumerate_strongly_stable(3, 3):
         assert koszul_betti(ideal) == ek_betti(ideal)
+
+
+def test_koszul_on_complete_graph_edge_ideals():
+    # The edge ideal of K_n has a linear resolution with
+    # beta_{i, i+2} = (i+1) * C(n, i+2); its lcm points reach supports of
+    # every size up to n, past the census's p <= 4.
+    for n in range(3, 11):
+        edges = []
+        for i, j in itertools.combinations(range(n), 2):
+            e = [0] * n
+            e[i] = e[j] = 1
+            edges.append(tuple(e))
+        ideal = MonomialIdeal.from_generators(n, edges)
+        want = {(i, i + 2): (i + 1) * math.comb(n, i + 2) for i in range(n - 1)}
+        assert koszul_betti(ideal).entries == want, n
+
+
+@st.composite
+def _gapped_supports(draw):
+    """A support of up to 12 bits spread over 40 positions, so that most
+    supports have gaps, and a free set inside it."""
+    positions = draw(st.lists(st.integers(0, 39), max_size=12, unique=True))
+    free = [t for t in positions if draw(st.booleans())]
+    return sum(1 << t for t in positions), sum(1 << t for t in free)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_gapped_supports())
+def test_down_set_table_is_the_relabelled_down_closure(case):
+    supp, free = case
+    support = [t for t in range(supp.bit_length()) if supp >> t & 1]
+    top = sum(1 << b for b, t in enumerate(support) if free >> t & 1)
+    want = _down_closure(len(support), [top])
+    assert oracle._down_set.__wrapped__(supp, free) == want
+
+
+@st.composite
+def _wide_shapes(draw):
+    """A down-closed mask on p = 5 or 6, the closure of up to 8 subsets."""
+    p = draw(st.integers(5, 6))
+    tops = draw(st.lists(st.integers(0, (1 << p) - 1), min_size=1, max_size=8))
+    return p, _down_closure(p, tops)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_wide_shapes())
+def test_shape_homology_matches_dense_on_random_wider_shapes(case):
+    p, mask = case
+    assert oracle._shape_homology.__wrapped__(p, mask) == dense_shape_homology(p, mask)
 
 
 def test_koszul_needs_no_stability():
