@@ -70,8 +70,6 @@ def _require_stable(module: MonomialSubmodule) -> None:
                     else " is the unit"
                 ),
                 component=h + 1,
-                generator=g,
-                move=(i, j, moved),
             )
 
 

@@ -1,10 +1,14 @@
 """Command line front end.
 
-Every subcommand reads JSON (from --input, "-" for stdin), writes one
-deterministic JSON document to stdout (census writes one compact JSON
-line per ideal, diagram writes plain text), and reports failures as a
-single JSON object on stderr. Exit codes sort failures by kind; each error
-class carries its code as exit_code (errors.py), other failures exit 1:
+Each subcommand is a reader and a command, named by its parser's
+set_defaults. The reader parses the JSON document (from --input, "-" for
+stdin) as an ideal or module, or as a corner spec with its mode; census
+reads its arguments alone. The command computes, touching no stream, and
+returns one deterministic JSON document, the diagram's plain text, or
+census lines (one compact JSON line per ideal) yielded as they are found.
+run is the one writer: it writes that to stdout, and a failure as a single
+JSON object on stderr. Exit codes sort failures by kind; each error class
+carries its code as exit_code (errors.py), other failures exit 1:
 
     0  success (including check-stable reporting an unstable input)
     1  any other error: bad input or usage, I/O trouble, an exhausted budget
@@ -61,11 +65,13 @@ def _build_parser() -> _Parser:
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        # census reads its arguments alone; the helpers below set readers
+        p.set_defaults(func=func, read=lambda args, _stdin: args)
         return p
 
     def with_input(name, func, help):
         p = command(name, func, help)
+        p.set_defaults(read=_read_module)
         p.add_argument(
             "-i",
             "--input",
@@ -76,6 +82,7 @@ def _build_parser() -> _Parser:
 
     def with_mode(name, func, help):
         p = with_input(name, func, help)
+        p.set_defaults(read=_read_spec)
         p.add_argument(
             "--mode",
             choices=sorted(MODES),
@@ -84,17 +91,17 @@ def _build_parser() -> _Parser:
         )
         return p
 
-    with_input("betti", _cmd_betti, "Betti table of a stable input")
-    with_input("corners", _cmd_corners, "corner report for an ideal or module")
-    with_input("check-stable", _cmd_check_stable, "stability check, never errors")
-    with_input("diagram", _cmd_diagram, "plain-text Betti diagram")
+    with_input("betti", _betti, "Betti table of a stable input")
+    with_input("corners", module_corner_report, "corner report for an ideal or module")
+    with_input("check-stable", _check_stable, "stability check, never errors")
+    with_input("diagram", _diagram, "plain-text Betti diagram")
 
-    with_input("oracle-betti", _cmd_oracle_betti, "Betti table from Koszul homology")
+    with_input("oracle-betti", _oracle_betti, "Betti table from Koszul homology")
 
-    with_mode("realize-ideal", _cmd_realize_ideal, "construct an ideal from a spec")
+    with_mode("realize-ideal", _realize_ideal, "construct an ideal from a spec")
 
     p = with_mode(
-        "realize-module", _cmd_realize_module, "construct a direct sum from a spec"
+        "realize-module", _realize_module, "construct a direct sum from a spec"
     )
     p.add_argument(
         "--m",
@@ -104,7 +111,7 @@ def _build_parser() -> _Parser:
     )
 
     p = command(
-        "census", _cmd_census, "enumerate strongly stable ideals, one JSON line each"
+        "census", _census, "enumerate strongly stable ideals, one JSON line each"
     )
     p.add_argument("-n", type=int, required=True, help="number of variables")
     p.add_argument(
@@ -136,6 +143,20 @@ def _read_input(path: str, stdin) -> str:
         ) from None
 
 
+def _read_module(args, stdin):
+    return parse_module_or_ideal(_read_input(args.input, stdin))
+
+
+def _read_spec(args, stdin) -> tuple[CornerSpec, str, dict]:
+    doc = json_document(_read_input(args.input, stdin))
+    spec = CornerSpec.from_obj(doc)
+    # --mode and --m override their document keys; only an absent "mode"
+    # key means coupled, a present one must name a mode
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    doc |= {k: given[k] for k in ("mode", "m") if k in given}
+    return spec, _check_mode(doc.get("mode", MODE_COUPLED)), doc
+
+
 def _dump(obj: dict, stdout) -> None:
     # one write: json.dump writes once per chunk
     stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -145,25 +166,17 @@ def _stars(table):
     return {c for c, _v in corner_sequence(table)}
 
 
-def _table_doc(table) -> dict:
-    """The table with its starred diagram, as the table-printing commands emit it."""
-    return {"table": table.to_obj(), "diagram": render_diagram(table, _stars(table))}
+def _table_doc(table, stars) -> dict:
+    """The table with its diagram, the given corners starred."""
+    return {"table": table.to_obj(), "diagram": render_diagram(table, stars)}
 
 
-def _cmd_betti(args, stdout, stdin) -> int:
-    module = parse_module_or_ideal(_read_input(args.input, stdin))
-    _dump(_table_doc(ek_betti(module)), stdout)
-    return 0
+def _betti(module) -> dict:
+    table = ek_betti(module)
+    return _table_doc(table, _stars(table))
 
 
-def _cmd_corners(args, stdout, stdin) -> int:
-    module = parse_module_or_ideal(_read_input(args.input, stdin))
-    _dump(module_corner_report(module), stdout)
-    return 0
-
-
-def _cmd_check_stable(args, stdout, stdin) -> int:
-    module = parse_module_or_ideal(_read_input(args.input, stdin))
+def _check_stable(module) -> dict:
     violation = None
     for h, ideal in enumerate(module.components):
         hit = ideal.stability_violation(strong=True)
@@ -178,72 +191,48 @@ def _cmd_check_stable(args, stdout, stdin) -> int:
             }
             break
     stable = all(c.is_stable() for c in module.components)
-    _dump(
-        {
-            "stable": stable,
-            "strongly_stable": violation is None,
-            "violation": violation,
-        },
-        stdout,
-    )
-    return 0
+    strong = violation is None
+    return {"stable": stable, "strongly_stable": strong, "violation": violation}
 
 
-def _cmd_diagram(args, stdout, stdin) -> int:
-    module = parse_module_or_ideal(_read_input(args.input, stdin))
+def _diagram(module) -> str:
     table = ek_betti(module)
-    stdout.write(render_diagram(table, _stars(table)) + "\n")
-    return 0
+    return render_diagram(table, _stars(table))
 
 
-def _cmd_oracle_betti(args, stdout, stdin) -> int:
-    module = parse_module_or_ideal(_read_input(args.input, stdin))
+def _oracle_betti(module) -> dict:
     table = koszul_betti(module)
-    out = _table_doc(table)
-    if all(
-        not c.is_zero and c.is_stable() for c in module.components
-    ):
+    out = _table_doc(table, _stars(table))
+    if all(c.is_stable() for c in module.components):
         out["matches_generator_formula"] = ek_betti(module) == table
-    _dump(out, stdout)
-    return 0
+    return out
 
 
-def _spec_and_mode(args, stdin) -> tuple[CornerSpec, str, dict]:
-    obj = json_document(_read_input(args.input, stdin))
-    spec = CornerSpec.from_obj(obj)
-    # only an absent "mode" key means coupled; a present one must name a mode
-    mode = args.mode or obj.get("mode", MODE_COUPLED)
-    return spec, _check_mode(mode), obj
+def _realized(realization) -> dict:
+    # its verification matched the table's corners to the spec's: star those
+    stars = set(realization.spec.corners)
+    return realization.to_obj() | _table_doc(realization.table, stars)
 
 
-def _cmd_realize_ideal(args, stdout, stdin) -> int:
-    spec, mode, _obj = _spec_and_mode(args, stdin)
-    realization = construct_ideal(spec, mode)
-    _dump(realization.to_obj() | _table_doc(realization.table), stdout)
-    return 0
+def _realize_ideal(source) -> dict:
+    spec, mode, _doc = source
+    return _realized(construct_ideal(spec, mode))
 
 
-def _cmd_realize_module(args, stdout, stdin) -> int:
-    spec, mode, obj = _spec_and_mode(args, stdin)
-    if args.m is None and "m" not in obj:
+def _realize_module(source) -> dict:
+    spec, mode, doc = source
+    if "m" not in doc:
         raise _UsageError(
             'realize-module needs a component count: pass --m or an "m" key'
         )
-    m = obj["m"] if args.m is None else args.m
-    realization = realize_module(spec, m, mode)
-    _dump(realization.to_obj() | _table_doc(realization.table), stdout)
-    return 0
+    return _realized(realize_module(spec, doc["m"], mode))
 
 
-def _cmd_census(args, stdout, stdin) -> int:
+def _census(args):
     for ideal in enumerate_strongly_stable(
-        args.n,
-        args.max_degree,
-        args.max_gens,
-        allow_large=args.allow_large,
+        args.n, args.max_degree, args.max_gens, allow_large=args.allow_large
     ):
-        stdout.write(ideal.to_json() + "\n")
-    return 0
+        yield ideal.to_json()
 
 
 def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
@@ -253,23 +242,22 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     stdin = sys.stdin if stdin is None else stdin
-    if argv and argv[0] in ("--version", "-V"):
-        stdout.write(f"stablebetti {__version__}\n")
-        return 0
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("stablebetti: a COMMAND is required (see --help)")
-        return args.func(args, stdout, stdin)
+        if argv and argv[0] in ("--version", "-V"):
+            out = f"stablebetti {__version__}"
+        else:
+            args = _build_parser().parse_args(argv)
+            if args.command is None:
+                raise _UsageError("stablebetti: a COMMAND is required (see --help)")
+            out = args.func(args.read(args, stdin))
+        if isinstance(out, dict):
+            _dump(out, stdout)
+        else:  # text, or census lines written as the command yields them
+            for line in [out] if isinstance(out, str) else out:
+                stdout.write(line + "\n")
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (
-        StableBettiError,
-        json.JSONDecodeError,
-        OSError,
-        _UsageError,
-    ) as exc:
+    except (StableBettiError, json.JSONDecodeError, OSError, _UsageError) as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},
             stderr,
@@ -277,6 +265,7 @@ def run(argv=None, stdout=None, stderr=None, stdin=None) -> int:
         )
         stderr.write("\n")
         return getattr(exc, "exit_code", 1)
+    return 0
 
 
 def main() -> None:

@@ -51,11 +51,9 @@ class NotStable(StableBettiError):
 
     exit_code = 2
 
-    def __init__(self, message: str, component: int, generator=None, move=None):
+    def __init__(self, message: str, component: int):
         super().__init__(message)
         self.component = component
-        self.generator = generator
-        self.move = move
 
 
 class BudgetExceeded(StableBettiError):

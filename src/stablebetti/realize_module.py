@@ -187,9 +187,9 @@ def find_corner_matrix(
                 key = (rows, tuple(entries))
                 cap = coupled_caps.get(key)
                 if cap is None:
-                    bounds, _picks, violation = coupled_chain(sub, entries)
-                    cap = 0 if violation is not None else bounds[-1]
-                    coupled_caps[key] = cap
+                    bounds, _picks, _violation = coupled_chain(sub, entries)
+                    # each entry was taken within the cap the chain recomputes
+                    cap = coupled_caps[key] = bounds[-1]
             else:
                 cap = strict_caps[rows][pos]
             i = rows[pos]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ideal_reference import borel_closure
 
 from stablebetti import (
+    CornerSpec,
     InfeasibleSpec,
     MonomialIdeal,
     NotStable,
@@ -20,10 +21,11 @@ from stablebetti import (
     VerificationFailed,
     __version__,
     cli,
+    construct_ideal,
     enumerate_strongly_stable,
     realize_module,
 )
-from stablebetti import errors, oracle
+from stablebetti import betti, errors, oracle
 from stablebetti.cli import _UsageError, _dump, run
 from stablebetti.monomials import format_monomial
 from test_cli_snapshot import CASES, EXPECTED, _snapshot
@@ -229,6 +231,44 @@ def test_oracle_betti_handles_unstable_input():
     assert "matches_generator_formula" not in payload
     entries = {(e["i"], e["j"]): e["beta"] for e in payload["table"]["entries"]}
     assert entries == {(0, 2): 2, (1, 4): 1}
+
+
+def test_oracle_betti_leaves_out_the_cross_check_for_a_zero_component():
+    # a zero component is not stable, so the generator formula is not asked
+    stable = {"n": 3, "generators": ["x1^2", "x1*x2", "x1*x3"]}
+    doc = {"n": 3, "components": [stable, {"n": 3, "generators": []}]}
+    code, out, err = invoke(["oracle-betti"], json.dumps(doc))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert "matches_generator_formula" not in payload
+    entries = {(e["i"], e["j"]): e["beta"] for e in payload["table"]["entries"]}
+    assert entries == {(0, 2): 3, (1, 3): 3, (2, 4): 1}
+    assert payload["diagram"] == "1: 3 3 1*"
+
+
+def test_realize_commands_scan_no_table_past_the_library(monkeypatch):
+    # the diagram stars the corners that verification already matched, so
+    # the command line adds no scan of the realization's table
+    scans = []
+    scan = betti.extremal_from_table
+
+    def counted(table):
+        scans.append(table)
+        return scan(table)
+
+    monkeypatch.setattr(betti, "extremal_from_table", counted)
+    doc = SPEC3 | {"m": 2}
+    spec = CornerSpec.from_obj(doc)
+    for argv, library in (
+        (["realize-ideal"], lambda: construct_ideal(spec)),
+        (["realize-module"], lambda: realize_module(spec, 2)),
+    ):
+        scans.clear()
+        assert invoke(argv, json.dumps(doc))[0] == 0
+        by_cli = len(scans)
+        scans.clear()
+        library()
+        assert 0 < by_cli <= len(scans), argv
 
 
 def test_realize_ideal_round_trip():
