@@ -20,7 +20,6 @@ from .betti import (
     render_diagram,
 )
 from .errors import (
-    BadDegree,
     BadRange,
     BudgetExceeded,
     InfeasibleSpec,
@@ -74,7 +73,6 @@ from .segments import lex_count, lex_unrank, stratum_size
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadDegree",
     "BadRange",
     "BettiTable",
     "BoundReport",

@@ -42,10 +42,6 @@ class BadRange(StableBettiError):
     """Numeric argument outside its documented range."""
 
 
-class BadDegree(StableBettiError):
-    """Degree argument outside its documented range."""
-
-
 class NotStable(StableBettiError):
     """Betti formula applied to a non-stable component."""
 

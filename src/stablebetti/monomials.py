@@ -10,10 +10,11 @@ tuple order means nothing, so the package only compares within a degree.
 from __future__ import annotations
 
 import re
+from itertools import combinations_with_replacement
 from operator import lshift
 from typing import Iterator, NamedTuple
 
-from .errors import BadDegree, BadRange, MonomialSyntaxError
+from .errors import BadRange, MonomialSyntaxError
 
 Monomial = tuple[int, ...]
 
@@ -95,17 +96,13 @@ def borel_moves(u: Monomial) -> list[Monomial]:
 
 
 def iter_degree(n: int, d: int) -> Iterator[Monomial]:
-    """All degree-d monomials in n variables, lex-descending."""
-    if n < 1:
-        raise BadRange(f"need n >= 1, got {n}")
-    if d < 0:
-        raise BadDegree(f"need d >= 0, got {d}")
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in iter_degree(n - 1, d - e):
-            yield (e,) + rest
+    """All degree-d monomials in n variables, lex-descending: their sorted
+    variable indices come in increasing lexicographic order."""
+    for indices in combinations_with_replacement(range(n), d):
+        u = [0] * n
+        for i in indices:
+            u[i] += 1
+        yield tuple(u)
 
 
 def parse_monomial(text: str, n: int) -> Monomial:

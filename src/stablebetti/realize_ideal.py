@@ -25,8 +25,7 @@ sequence, generators confined to the corner degrees) before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .betti import BettiTable, Corner, corner_sequence, ek_betti
@@ -69,6 +68,8 @@ class CornerSpec:
     n: int
     corners: tuple[Corner, ...]
     values: tuple[int, ...]
+    # windows by corners, shared with every sub-spec made from this spec
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -104,37 +105,33 @@ class CornerSpec:
         """False for first degree 2 with final position 1, the undecided case."""
         return self.corners[0].ell != 2 or self.corners[-1].k != 1
 
-    @cached_property
+    @property
     def _window_extents(self) -> tuple[tuple[Monomial, int], ...]:
         """Per corner, the window A_i as (bottom, size): the peak-stratum
-        members from the top down to the corner's least admissible one.
-        An uncovered spec raises on every use (nothing is cached then)."""
-        validate_positions(self)
-        t = _tail_index(self)
-        out = []
-        for i, c in enumerate(self.corners):
-            bottom = _corner_bottom(self, i, t)
-            size = stratum_rank(bottom, c.k)
-            if not size:
-                raise AssertionError("corner window came out empty")
-            out.append((bottom, size))
-        return tuple(out)
-
-    @cached_property
-    def _sub_specs(self) -> dict:
-        return {}
+        members from the top down to the corner's least admissible one,
+        kept by corners. An uncovered spec raises on every use."""
+        out = self._windows.get(self.corners)
+        if out is None:
+            validate_positions(self)
+            t = _tail_index(self)
+            out = []
+            for i, c in enumerate(self.corners):
+                bottom = _corner_bottom(self, i, t)
+                size = stratum_rank(bottom, c.k)
+                if not size:
+                    raise AssertionError("corner window came out empty")
+                out.append((bottom, size))
+            out = self._windows[self.corners] = tuple(out)
+        return out
 
     def sub_spec(self, rows, values=None) -> "CornerSpec":
         """The spec restricted to a subsequence of corner rows (0-based).
-        Equal requests get the same spec object, and so share its windows."""
-        rows = tuple(rows)
+        It shares this spec's window memo, so equal corners share windows."""
         if values is None:
             values = (self.values[i] for i in rows)
-        key = (rows, tuple(values))
-        if key not in self._sub_specs:
-            corners = tuple(self.corners[i] for i in rows)
-            self._sub_specs[key] = CornerSpec(self.n, corners, key[1])
-        return self._sub_specs[key]
+        sub = CornerSpec(self.n, tuple(self.corners[i] for i in rows), tuple(values))
+        object.__setattr__(sub, "_windows", self._windows)
+        return sub
 
     def to_obj(self) -> dict:
         return {
@@ -248,7 +245,6 @@ class CornerWindow:
 
 @dataclass(frozen=True)
 class BoundReport:
-    spec: CornerSpec
     t: int
     windows: tuple[CornerWindow, ...]
 
@@ -278,7 +274,7 @@ def compute_bounds(spec: CornerSpec) -> BoundReport:
         floor = _shadow_floor(spec, i, out[i - 1].bottom) if i else None
         shaded = stratum_rank(floor, c.k) if i else 0
         out.append(CornerWindow(c, bottom, size, floor, max(0, size - shaded)))
-    return BoundReport(spec, _tail_index(spec), out)
+    return BoundReport(_tail_index(spec), out)
 
 
 def coupled_chain(
@@ -383,6 +379,16 @@ def _corner_text(sequence) -> str:
     return str([((c.k, c.ell), v) for c, v in sequence])
 
 
+def _check_corners(got, spec: CornerSpec, what: str) -> None:
+    """Raise VerificationFailed, naming what, unless got is spec's corners."""
+    want = list(zip(spec.corners, spec.values))
+    if got != want:
+        raise VerificationFailed(
+            f"{what} has corner sequence {_corner_text(got)}, "
+            f"wanted {_corner_text(want)}"
+        )
+
+
 def _verify_realization(ideal: MonomialIdeal, spec: CornerSpec) -> BettiTable:
     """Check a witness kept in its planned order. Once it is strongly stable,
     a non-minimal generator has a generator among its lower-degree initial
@@ -402,13 +408,7 @@ def _verify_realization(ideal: MonomialIdeal, spec: CornerSpec) -> BettiTable:
             "constructed ideal has generators outside the corner degrees"
         )
     table = ek_betti(ideal)
-    got = corner_sequence(table)
-    want = list(zip(spec.corners, spec.values))
-    if got != want:
-        raise VerificationFailed(
-            f"constructed ideal has corner sequence {_corner_text(got)}, "
-            f"wanted {_corner_text(want)}"
-        )
+    _check_corners(corner_sequence(table), spec, "constructed ideal")
     return table
 
 

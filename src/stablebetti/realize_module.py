@@ -16,11 +16,12 @@ subsequence fails position screening are never tried. The walk keeps one
 candidate generator per placed column on an explicit stack, so its depth
 does not grow with m; m itself is capped at MAX_COMPONENTS.
 
-Each node costs about the same. A column entry's coupled cap depends only
-on the pattern and the entries before it, so the search memoises it by the
-two, at most one entry per spent node. Patterns are screened by row
-bitmask against the rows already closed and the rows that the later
-columns cannot cover alone.
+Each node costs about the same. A column entry's cap depends only on the
+pattern and the entries before it (coupled) or its position (strict), so
+the search keeps one cap table by the two, at most one entry per spent
+node, and the patterns' sub-specs share the spec's windows. Patterns are
+screened by row bitmask against the rows already closed and the rows that
+the later columns cannot cover alone.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .realize_ideal import (
     MODE_STRICT,
     CornerSpec,
     IdealRealization,
+    _check_corners,
     _check_mode,
-    _corner_text,
     check_values,
     compute_bounds,
     construct_ideal,
@@ -85,34 +86,33 @@ def validate_module_spec(spec: CornerSpec, m: int) -> None:
 
 
 def _admissible_patterns(spec: CornerSpec):
-    """Bitmask-ordered candidate patterns with their sub-specs.
+    """Bitmask-ordered candidate patterns as (rows, sub-spec, row mask),
+    row i at bit i of the mask; the empty pattern has no sub-spec.
 
-    Patterns whose sub-spec fails position screening are skipped; each
-    sub-spec, and so the windows it keeps, lasts the whole search.
+    Patterns whose sub-spec fails position screening are skipped.
     """
     r = spec.r
     out = []
     for bits in range((1 << r) - 1, -1, -1):
         rows = tuple(i for i in range(r) if bits >> (r - 1 - i) & 1)
-        if not rows:
-            out.append((rows, None))
-            continue
-        sub = spec.sub_spec(rows, values=tuple(1 for _ in rows))
-        if sub.covered:
-            out.append((rows, sub))
+        sub = spec.sub_spec(rows, (1,) * len(rows)) if rows else None
+        if sub is None or sub.covered:
+            out.append((rows, sub, sum(1 << i for i in rows)))
     return out
 
 
-def _tightest_row(spec: CornerSpec, m: int) -> str:
-    scored = [
-        (a / (m * stratum_size(c.k, c.ell)), i)
-        for i, (c, a) in enumerate(zip(spec.corners, spec.values))
-    ]
-    _ratio, i = max(scored)
+def _tightest_row(spec: CornerSpec) -> str:
+    """The row with the largest ratio of value to m-column cap, compared
+    exactly by cross-multiplying (m cancels); the later row on a tie."""
+    caps = [stratum_size(c.k, c.ell) for c in spec.corners]
+    i = spec.r - 1
+    for j in range(i - 1, -1, -1):
+        if spec.values[j] * caps[i] > spec.values[i] * caps[j]:
+            i = j
     c = spec.corners[i]
     return (
         f"tightest row is corner {i + 1} (k={c.k}, l={c.ell}): value "
-        f"{spec.values[i]} against per-column cap {stratum_size(c.k, c.ell)}"
+        f"{spec.values[i]} against per-column cap {caps[i]}"
     )
 
 
@@ -131,25 +131,18 @@ def find_corner_matrix(
     _check_mode(mode)
     validate_module_spec(spec, m)
     r = spec.r
-    # each pattern with its row bitmask, row i at bit i
-    patterns = [
-        (rows, sub, sum(1 << i for i in rows))
-        for rows, sub in _admissible_patterns(spec)
-    ]
-    strict_caps = (
-        {rows: compute_bounds(sub).bounds for rows, sub, _ in patterns if rows}
-        if mode == MODE_STRICT
-        else {}
-    )
-    # the next entry's coupled cap by (rows, entries so far); rows fixes sub
-    coupled_caps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    patterns = _admissible_patterns(spec)
+    coupled = mode == MODE_COUPLED
+    # the next entry's cap by (rows, entries so far) when coupled, by
+    # (rows, its position) when strict; rows fixes sub
+    caps: dict[tuple[tuple[int, ...], tuple[int, ...] | int], int] = {}
     single_cap = [stratum_size(c.k, c.ell) for c in spec.corners]
     nodes = count(1)
 
     def spend():
         if next(nodes) > node_budget:
             raise InfeasibleSpec(
-                "corner matrix search budget exhausted; " + _tightest_row(spec, m),
+                "corner matrix search budget exhausted; " + _tightest_row(spec),
                 exhausted_budget=True,
             )
 
@@ -183,15 +176,15 @@ def find_corner_matrix(
             if pos == len(rows):
                 yield dict(zip(rows, entries))
                 return
-            if mode == MODE_COUPLED:
-                key = (rows, tuple(entries))
-                cap = coupled_caps.get(key)
-                if cap is None:
-                    bounds, _picks, _violation = coupled_chain(sub, entries)
-                    # each entry was taken within the cap the chain recomputes
-                    cap = coupled_caps[key] = bounds[-1]
-            else:
-                cap = strict_caps[rows][pos]
+            key = (rows, tuple(entries) if coupled else pos)
+            cap = caps.get(key)
+            if cap is None:
+                # a coupled chain meets no violation: each entry is within its cap
+                cap = caps[key] = (
+                    coupled_chain(sub, entries)[0][-1]
+                    if coupled
+                    else compute_bounds(sub).bounds[pos]
+                )
             i = rows[pos]
             for v in range(min(cap, rem[i]), floor[i] - 1, -1):
                 entries.append(v)
@@ -224,7 +217,7 @@ def find_corner_matrix(
             stack.pop()
             if not stack:
                 raise InfeasibleSpec(
-                    "no corner matrix exists for this spec; " + _tightest_row(spec, m)
+                    "no corner matrix exists for this spec; " + _tightest_row(spec)
                 )
 
 
@@ -328,19 +321,13 @@ def construct_module(
         key = (rows, tuple(matrix[i][h] for i in rows))
         realization = built.get(key)
         if realization is None:
-            # the sub-spec validate_corner_matrix checked, windows and all
+            # its windows are those validate_corner_matrix built, by corners
             realization = built[key] = construct_ideal(spec.sub_spec(*key), mode)
         components.append(realization.ideal)
         columns.append(realization)
     module = MonomialSubmodule(spec.n, tuple(components))
     view = corner_matrix(module)
-    got = list(zip(view.corners, view.values))
-    want = list(zip(spec.corners, spec.values))
-    if got != want:
-        raise VerificationFailed(
-            f"assembled module has corner sequence {_corner_text(got)}, "
-            f"wanted {_corner_text(want)}"
-        )
+    _check_corners(list(zip(view.corners, view.values)), spec, "assembled module")
     if view.rows != tuple(tuple(row) for row in matrix):
         raise VerificationFailed(
             "assembled module does not reproduce the requested corner matrix"

@@ -44,7 +44,7 @@ def find_corner_matrix(
     r = spec.r
     patterns = _admissible_patterns(spec)
     strict_caps = (
-        {rows: compute_bounds(sub).bounds for rows, sub in patterns if rows}
+        {rows: compute_bounds(sub).bounds for rows, sub, _mask in patterns if rows}
         if mode == MODE_STRICT
         else {}
     )
@@ -55,7 +55,7 @@ def find_corner_matrix(
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise InfeasibleSpec(
-                "corner matrix search budget exhausted; " + _tightest_row(spec, m),
+                "corner matrix search budget exhausted; " + _tightest_row(spec),
                 exhausted_budget=True,
             )
 
@@ -113,7 +113,7 @@ def find_corner_matrix(
             rem[i] > cols_left * single_cap[i] or rem[i] < 0 for i in range(r)
         ):
             return False
-        for rows, sub in patterns:
+        for rows, sub, _mask in patterns:
             if rows and any(rem[i] == 0 for i in rows):
                 continue
             # rows this column skips must be coverable by the columns after it
@@ -138,11 +138,11 @@ def find_corner_matrix(
         # nesting grows with m and the values; past the interpreter's
         # limit the search gives up as it does on an exhausted budget
         raise InfeasibleSpec(
-            "corner matrix search nested too deeply; " + _tightest_row(spec, m),
+            "corner matrix search nested too deeply; " + _tightest_row(spec),
             exhausted_budget=True,
         ) from None
     if placed:
         return found[0]
     raise InfeasibleSpec(
-        "no corner matrix exists for this spec; " + _tightest_row(spec, m)
+        "no corner matrix exists for this spec; " + _tightest_row(spec)
     )

@@ -526,7 +526,7 @@ def test_exit_code_table_in_the_cli_docstring_matches_the_error_classes():
     rows = dict(re.findall(r"^    (\d)  (.+)$", cli.__doc__, re.M))
     assert sorted(rows) == ["0", "1", "2", "3", "4"]
     classes = {cls.__name__: cls for cls in _error_classes()}
-    assert len(classes) == 10
+    assert len(classes) == 9
     named = {
         name: int(code)
         for code, text in rows.items()

@@ -97,6 +97,23 @@ def test_find_corner_matrix_infeasible_and_budget():
         find_corner_matrix(spec(3, [(1, 2)], [1]), 1)
 
 
+
+def test_refusal_names_the_row_with_the_largest_exact_ratio():
+    # both rows ask for 2 * cap - 1 of their 2-column cap 2 * cap: the
+    # ratios differ only past a float's precision, and the first row's
+    # larger cap gives it the larger one
+    caps = [stratum_size(40, 30), stratum_size(30, 31)]
+    assert caps[0] > caps[1]
+    assert (2 * caps[0] - 1) / (2 * caps[0]) == (2 * caps[1] - 1) / (2 * caps[1])
+    s = spec(41, [(40, 30), (30, 31)], [2 * c - 1 for c in caps])
+    with pytest.raises(InfeasibleSpec, match="tightest row is corner 1 ") as err:
+        find_corner_matrix(s, 2, node_budget=1)
+    assert err.value.exhausted_budget
+    # on an exact tie the later row is named
+    tie = spec(6, [(5, 2), (3, 3)], [stratum_size(5, 2), stratum_size(3, 3)])
+    with pytest.raises(InfeasibleSpec, match="tightest row is corner 2 "):
+        find_corner_matrix(tie, 2, node_budget=1)
+
 @st.composite
 def _module_searches(draw):
     n = draw(st.integers(3, 8))
@@ -281,6 +298,24 @@ def test_construct_module_builds_each_column_window_once(monkeypatch):
     assert len(bottoms) == 3 + 2 + 2
     assert len(set(bottoms)) == len(bottoms)
 
+
+@pytest.mark.parametrize("mode, windows", [(MODE_COUPLED, 7), (MODE_STRICT, 12)])
+def test_realize_module_builds_each_distinct_window_once(monkeypatch, mode, windows):
+    # the search, the matrix check and the columns' constructions read one
+    # window memo by corners, so a window is built once however many
+    # sub-specs with the same corners (and other values) ask for it
+    module = importlib.import_module("stablebetti.realize_ideal")
+    original_bottom = module._corner_bottom
+    bottoms = []
+
+    def counting_bottom(sub, i, t):
+        bottoms.append((sub.corners, i))
+        return original_bottom(sub, i, t)
+
+    monkeypatch.setattr(module, "_corner_bottom", counting_bottom)
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
+    realize_module(s, 3, mode)
+    assert len(bottoms) == len(set(bottoms)) == windows
 
 def test_construct_module_builds_each_distinct_column_once(monkeypatch):
     # two equal columns share one construction and its verification, and

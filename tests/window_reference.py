@@ -76,7 +76,7 @@ def compute_bounds(spec):
         windows.append(
             CornerWindow(c, members[i][-1], len(members[i]), floor, len(avail))
         )
-    return BoundReport(spec, _tail_index(spec), windows)
+    return BoundReport(_tail_index(spec), windows)
 
 
 def coupled_chain(spec, values):
