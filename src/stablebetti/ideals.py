@@ -262,6 +262,9 @@ class MonomialSubmodule:
             "components": [c.to_obj() for c in self.components],
         }
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True, separators=(", ", ": "))
+
     @classmethod
     def from_obj(cls, obj: dict) -> "MonomialSubmodule":
         if not isinstance(obj, dict) or "components" not in obj:

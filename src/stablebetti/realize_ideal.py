@@ -127,8 +127,8 @@ class CornerSpec:
     def sub_spec(self, rows, values=None) -> "CornerSpec":
         """The spec restricted to a subsequence of corner rows (0-based).
         It shares this spec's window memo, so equal corners share windows."""
-        if values is None:
-            values = (self.values[i] for i in rows)
+        rows = tuple(rows)
+        values = tuple(self.values[i] for i in rows) if values is None else values
         sub = CornerSpec(self.n, tuple(self.corners[i] for i in rows), tuple(values))
         object.__setattr__(sub, "_windows", self._windows)
         return sub

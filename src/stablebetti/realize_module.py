@@ -177,14 +177,14 @@ def find_corner_matrix(
                 yield dict(zip(rows, entries))
                 return
             key = (rows, tuple(entries) if coupled else pos)
-            cap = caps.get(key)
-            if cap is None:
+            if coupled and key not in caps:
                 # a coupled chain meets no violation: each entry is within its cap
-                cap = caps[key] = (
-                    coupled_chain(sub, entries)[0][-1]
-                    if coupled
-                    else compute_bounds(sub).bounds[pos]
-                )
+                caps[key] = coupled_chain(sub, entries)[0][-1]
+            elif key not in caps:
+                # one bounds report holds the caps of every position of rows
+                bounds = compute_bounds(sub).bounds
+                caps.update(((rows, p), b) for p, b in enumerate(bounds))
+            cap = caps[key]
             i = rows[pos]
             for v in range(min(cap, rem[i]), floor[i] - 1, -1):
                 entries.append(v)
@@ -291,9 +291,7 @@ class ModuleRealization:
             "mode": self.mode,
             "matrix": [list(row) for row in self.matrix],
             "module": self.module.to_obj(),
-            "fillers": [
-                h + 1 for h, c in enumerate(self.columns) if c is None
-            ],
+            "fillers": [h + 1 for h, c in enumerate(self.columns) if c is None],
         }
 
 

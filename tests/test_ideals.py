@@ -225,7 +225,7 @@ def test_module_generators_include_shifts():
 def test_module_json_round_trip():
     ideal = MonomialIdeal.from_strings(2, ["x1"])
     module = MonomialSubmodule(2, (ideal, ideal), (0, 1))
-    again = MonomialSubmodule.from_obj(json.loads(json.dumps(module.to_obj())))
+    again = MonomialSubmodule.from_obj(json.loads(module.to_json()))
     assert again == module
     with pytest.raises(MonomialSyntaxError):
         MonomialSubmodule.from_obj({"n": 2, "components": [], "m": 1})

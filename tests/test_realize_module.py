@@ -97,7 +97,6 @@ def test_find_corner_matrix_infeasible_and_budget():
         find_corner_matrix(spec(3, [(1, 2)], [1]), 1)
 
 
-
 def test_refusal_names_the_row_with_the_largest_exact_ratio():
     # both rows ask for 2 * cap - 1 of their 2-column cap 2 * cap: the
     # ratios differ only past a float's precision, and the first row's
@@ -113,6 +112,7 @@ def test_refusal_names_the_row_with_the_largest_exact_ratio():
     tie = spec(6, [(5, 2), (3, 3)], [stratum_size(5, 2), stratum_size(3, 3)])
     with pytest.raises(InfeasibleSpec, match="tightest row is corner 2 "):
         find_corner_matrix(tie, 2, node_budget=1)
+
 
 @st.composite
 def _module_searches(draw):
@@ -316,6 +316,23 @@ def test_realize_module_builds_each_distinct_window_once(monkeypatch, mode, wind
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
     realize_module(s, 3, mode)
     assert len(bottoms) == len(set(bottoms)) == windows
+
+
+def test_strict_search_computes_each_pattern_bounds_once(monkeypatch):
+    # one bounds report fills the caps of every position of its pattern
+    module = importlib.import_module("stablebetti.realize_module")
+    original_bounds = module.compute_bounds
+    reports = []
+
+    def counting_bounds(sub):
+        reports.append(sub.corners)
+        return original_bounds(sub)
+
+    monkeypatch.setattr(module, "compute_bounds", counting_bounds)
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
+    find_corner_matrix(s, 3, MODE_STRICT)
+    assert reports and len(reports) == len(set(reports))
+
 
 def test_construct_module_builds_each_distinct_column_once(monkeypatch):
     # two equal columns share one construction and its verification, and
