@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
 
 from .errors import BadRange, MonomialSyntaxError, json_document, json_int
 from .monomials import (
@@ -153,9 +153,7 @@ class MonomialIdeal:
                 if not pg:
                     return (g, 0, 0, None)
                 lower = lowers[degree(g)]
-                for i in range(2, self.n + 1) if strong else (max_index(g),):
-                    if not g[i - 1]:
-                        continue
+                for i in compress(count(2), g[1:]) if strong else (max_index(g),):
                     lowered = pg - bits[i - 1]
                     for j in range(i - 1 if adjacent else 1, i):
                         q = lowered + bits[j - 1]

@@ -11,11 +11,11 @@ a point's total degree is unpacked only for a block with homology.
 A block's valid subsets are one bitmask, an OR of shift-OR down-set
 tables. A block with a cone point is acyclic and takes no rank; other
 boundary maps are sparse integer columns from one table of signed faces,
-each checked for d(d) = 0 once per process, and are ranked over Q by
-exact elimination that prefers unit pivots. enumerate_strongly_stable
-lists the small strongly stable ideals themselves, within guard rails
-and a decision budget: it walks each degree's Borel-closed slices as
-bitmasks over that degree's monomials, iteratively within a degree.
+each checked for d(d) = 0 once per process, and ranked over Q by exact
+elimination that files each kept column under its lowest row.
+enumerate_strongly_stable lists the small strongly stable ideals, within
+guard rails and a decision budget: it walks each degree's Borel-closed
+slices as bitmasks over its monomials, iteratively within a degree.
 
 The multidegree decomposition rests on two standard facts. Nonzero
 homology only occurs in multidegrees that are least common multiples of
@@ -40,21 +40,23 @@ def _rank(columns: list[dict[int, int]]) -> int:
     """Rank over Q of an integer matrix given by its sparse columns
     ({row: entry}), by exact elimination.
 
-    Each column is reduced against the pivots found so far, in the order
-    they were found; a pivot column is zero on every earlier pivot row, so
-    one pass leaves the column zero on all of them. A column that survives
-    becomes a pivot, on a +-1 entry where it has one, so that most updates
-    are plain integer subtraction. Against a pivot p that is not a unit the
-    update is fraction-free, p*col - f*pivot, and the column is divided by
-    the gcd of its entries; neither changes the rank over Q.
+    A new column is reduced by the kept column filed under its lowest
+    (largest) row until that row is free, where the column is kept, or
+    the column is empty. Kept columns have distinct lowest rows, so they
+    are independent. Against a +-1 entry the update is plain subtraction;
+    against another entry p it is fraction-free, p*col - f*kept, then
+    divided by the gcd of the column; neither changes the rank over Q.
     """
-    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    kept: dict[int, dict[int, int]] = {}
     for col in columns:
         col = dict(col)
-        for r, (p, piv) in pivots.items():
-            f = col.get(r)
-            if not f:
-                continue
+        while col:
+            r = max(col)
+            piv = kept.get(r)
+            if piv is None:
+                kept[r] = col
+                break
+            p, f = piv[r], col[r]
             unit = p == 1 or p == -1
             if unit:
                 f *= p
@@ -72,10 +74,7 @@ def _rank(columns: list[dict[int, int]]) -> int:
                 g = gcd(*col.values())
                 if g > 1:
                     col = {row: v // g for row, v in col.items()}
-        if col:
-            r = min(col, key=lambda row: abs(col[row]))  # +-1 where there is one
-            pivots[r] = (col[r], col)
-    return len(pivots)
+    return len(kept)
 
 
 def _faces(s: int) -> list[tuple[int, int]]:
@@ -220,23 +219,6 @@ def _point_masks(ideal: MonomialIdeal) -> dict[int, tuple[int, int]]:
     return live
 
 
-def _ideal_tor(ideal: MonomialIdeal) -> dict[tuple[int, int], int]:
-    """dim Tor_i(I, k)_j for a monomial ideal, keys (i, j), zeros omitted."""
-    pk = ideal.packed[0]
-    field = (1 << (pk.width - 1)) - 1
-    out: dict[tuple[int, int], int] = {}
-    for a, (p, mask) in _point_masks(ideal).items():
-        dims = _shape_homology(p, mask)
-        if not any(dims):
-            continue
-        j = sum(a >> s & field for s in pk.shifts)  # the total degree of a
-        for i, dim in enumerate(dims):
-            if dim:
-                key = (i, j)
-                out[key] = out.get(key, 0) + dim
-    return out
-
-
 def koszul_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     """Betti table from Koszul homology; exact, no stability assumption.
 
@@ -253,9 +235,15 @@ def koszul_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     for ideal, f in zip(module.components, module.shifts):
         if ideal.is_zero:
             continue
-        for (i, j), dim in _ideal_tor(ideal).items():
-            key = (i, j + f)
-            entries[key] = entries.get(key, 0) + dim
+        pk = ideal.packed[0]
+        field = (1 << (pk.width - 1)) - 1
+        for a, (p, mask) in _point_masks(ideal).items():
+            dims = _shape_homology(p, mask)
+            if any(dims):
+                j = f + sum(a >> s & field for s in pk.shifts)  # f + |a|
+                for i, dim in enumerate(dims):
+                    if dim:
+                        entries[i, j] = entries.get((i, j), 0) + dim
     return BettiTable(module.n, entries)
 
 

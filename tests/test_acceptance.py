@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,9 @@ from stablebetti import (
     Corner,
     CornerSpec,
     InfeasibleSpec,
+    MonomialSubmodule,
+    SpecError,
+    UncoveredByCharacterization,
     check_values,
     compute_bounds,
     construct_ideal,
@@ -331,3 +335,50 @@ def test_c10_cli_output_is_byte_identical_across_runs(bundle4, bundle3):
         second = _invoke(argv, doc)
         assert first == second
         assert first[0] == 0 and first[2] == ""
+
+
+def _spec_of(n, sequence):
+    return CornerSpec(n, tuple(c for c, _ in sequence), tuple(a for _, a in sequence))
+
+
+def test_c11_census_corner_sequences_round_trip(census_rows):
+    # Each distinct (n, corner sequence) of the census, read back as a spec:
+    # a covered one is coupled-feasible and construct_ideal rebuilds it
+    # (strict mode rejects 25 of them), an uncovered one is refused, and a
+    # first corner in degree 1 is no spec.
+    pairs = {(member.n, tuple(corner_sequence(table))) for member, table in census_rows}
+    counts = Counter()
+    for n, seq in pairs:
+        if not seq:
+            counts["no corner"] += 1
+            continue
+        try:
+            spec = _spec_of(n, seq)
+        except SpecError:
+            counts["refused"] += 1
+            continue
+        if not spec.covered:
+            counts["uncovered"] += 1
+            with pytest.raises(UncoveredByCharacterization):
+                construct_ideal(spec)
+            continue
+        counts["covered"] += 1
+        assert check_values(spec).feasible, spec
+        counts["strict rejection"] += not check_values(spec, MODE_STRICT).feasible
+        assert corner_sequence(construct_ideal(spec).table) == list(seq), spec
+    assert counts == {
+        "no corner": 4,
+        "refused": 6,
+        "uncovered": 12,
+        "covered": 139,
+        "strict rejection": 25,
+    }
+    # direct sums of 2 to 4 census ideals: realize_module rebuilds the
+    # module's corner sequence with as many components
+    by_n = {n: [member for member, _ in census_rows if member.n == n] for n in (3, 4)}
+    rng = random.Random(7)
+    for _ in range(200):
+        n, m = rng.choice((3, 4)), rng.randint(2, 4)
+        module = MonomialSubmodule(n, tuple(rng.choice(by_n[n]) for _ in range(m)))
+        seq = corner_sequence(ek_betti(module))
+        assert corner_sequence(realize_module(_spec_of(n, seq), m).table) == seq, module

@@ -85,6 +85,16 @@ def test_integer_rank_fixed_cases():
         ([[2, 3, 5], [7, 11, 13], [9, 14, 19]], 3),
         ([[2, 4], [6, 3]], 2),  # no unit entry: fraction-free updates only
         ([[big, big], [big, big + 1]], 2),
+        # c1, c2, c3 are kept at lowest rows 3, 2, 1, each also on the row
+        # above; a fourth column at row 3 is reduced by all three in turn,
+        # each step filling in the next row: c1 - c2 + c3 empties, while
+        # e_3 ends on the free row 0 and is kept there.
+        ([[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1]], 3),
+        ([[0, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1]], 4),
+        # The same chains through entries 2 and 3, so every step is
+        # fraction-free: c1 + c2 + c3 empties, 3e_3 + e_1 is kept at row 0.
+        ([[0, 0, 3, 3], [0, 3, 2, 5], [3, 2, 0, 5], [2, 0, 0, 2]], 3),
+        ([[0, 0, 3, 0], [0, 3, 2, 1], [3, 2, 0, 0], [2, 0, 0, 3]], 4),
     ]
     for rows, rank in cases:
         assert _ranks(rows) == (rank, rank, rank), rows
