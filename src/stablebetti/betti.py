@@ -140,7 +140,6 @@ def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
     """The corner matrix, building each component's table once."""
     _require_stable(module)  # names a failing component by its module index
     component_tables = []
-    entries: dict[tuple[int, int], int] = {}
     for ideal, f in zip(module.components, module.shifts):
         table = ek_betti(ideal)
         if f:
@@ -148,9 +147,17 @@ def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
                 module.n, {(i, j + f): b for (i, j), b in table.entries.items()}
             )
         component_tables.append(table)
+    return corner_view(module.n, component_tables)
+
+
+def corner_view(n: int, component_tables) -> CornerMatrixView:
+    """The corner matrix of a direct sum, read off its components' tables,
+    each already shifted by its f_h."""
+    entries: dict[tuple[int, int], int] = {}
+    for table in component_tables:
         for key, b in table.entries.items():
             entries[key] = entries.get(key, 0) + b
-    table = BettiTable(module.n, entries)
+    table = BettiTable(n, entries)
     extremals = tuple(extremal_from_table(table))
     corners = tuple(c for c, _v in extremals if c.k >= 1)
     values = tuple(v for c, v in extremals if c.k >= 1)
@@ -159,7 +166,7 @@ def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
     )
     nonzero_cols = tuple(
         h + 1
-        for h in range(module.m)
+        for h in range(len(component_tables))
         if any(row[h] for row in rows)
     )
     return CornerMatrixView(

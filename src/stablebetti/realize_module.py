@@ -18,10 +18,19 @@ does not grow with m; m itself is capped at MAX_COMPONENTS.
 
 Each node costs about the same. A column entry's cap depends only on the
 pattern and the entries before it (coupled) or its position (strict), so
-the search keeps one cap table by the two, at most one entry per spent
-node, and the patterns' sub-specs share the spec's windows. Patterns are
-screened by row bitmask against the rows already closed and the rows that
-the later columns cannot cover alone.
+the search keeps one cap table by the two, and the patterns' sub-specs
+share the spec's windows. Patterns are screened by row bitmask against the
+rows already closed and the rows that the later columns cannot cover alone.
+
+The last column must take exactly what is left, so each entry of the
+column before it looks ahead: if no admissible pattern could take the
+remainder, the entry has no subtree. A coupled cap only shrinks as the
+entries before it grow (each pick moves lex-down and its shadow grows), so
+a row can close only if its cap along the all-ones chain reaches its
+value, and a last pattern fits only if it admits each row at its least
+remainder. Only subtrees without a matrix are dropped: the search finds
+the same first matrix, or complete refusal, in no more nodes. A node adds
+at most r caps for its own pattern and r per pattern its lookahead tries.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .betti import BettiTable, corner_matrix
+from .betti import BettiTable, corner_view, ek_betti
 from .errors import (
     BudgetExceeded,
     InfeasibleSpec,
@@ -133,8 +142,8 @@ def find_corner_matrix(
     r = spec.r
     patterns = _admissible_patterns(spec)
     coupled = mode == MODE_COUPLED
-    # the next entry's cap by (rows, entries so far) when coupled, by
-    # (rows, its position) when strict; rows fixes sub
+    # the cap of the entry after a prefix of pattern rows, by (rows, the
+    # prefix) when coupled, by (rows, its position) when strict
     caps: dict[tuple[tuple[int, ...], tuple[int, ...] | int], int] = {}
     single_cap = [stratum_size(c.k, c.ell) for c in spec.corners]
     nodes = count(1)
@@ -146,8 +155,47 @@ def find_corner_matrix(
                 exhausted_budget=True,
             )
 
+    def cap(rows, sub, prefix: tuple[int, ...]) -> int:
+        key = (rows, prefix if coupled else len(prefix))
+        if key not in caps:
+            if coupled:
+                # a coupled chain meets no violation: each entry is within its cap
+                caps[key] = coupled_chain(sub, prefix)[0][-1]
+            else:
+                # one bounds report holds the caps of every position of rows
+                bounds = compute_bounds(sub).bounds
+                caps.update(((rows, p), b) for p, b in enumerate(bounds))
+        return caps[key]
+
     rem = list(spec.values)
     columns: list[dict[int, int]] = []  # each placed column's nonzero entries
+
+    def last_fits(rows, sub, entries) -> bool:
+        """Whether a last column could still take what entries leave."""
+        left = rem[:]  # each row's least remainder
+        for i, v in zip(rows, entries):
+            left[i] -= v
+        may_close = 0  # rows that the rest of this column may still close
+        prefix = tuple(entries)
+        for i in rows[len(prefix) :]:  # the next cap, then all-ones chain caps
+            top = cap(rows, sub, prefix)
+            if not top:
+                return False
+            left[i] = max(0, left[i] - top)
+            may_close |= (not left[i]) << i
+            prefix = (1,) * (len(prefix) + 1)
+        must = sum(1 << i for i, v in enumerate(left) if v)
+        for q, q_sub, bits in patterns:
+            if bits & ~(must | may_close) or must & ~bits:
+                continue
+            prefix = ()
+            for i in q:
+                if (left[i] or 1) > cap(q, q_sub, prefix):
+                    break
+                prefix += (left[i] or 1,)
+            else:
+                return True
+        return False
 
     def candidates():
         """Place each candidate for the next column in turn, keeping it
@@ -172,21 +220,17 @@ def find_corner_matrix(
 
         def entries_of(rows, sub, entries):
             spend()
+            # a pattern's first node goes unchecked: each entry's check is
+            # as strong, and a check with every row open tries more patterns
+            if cols_after == 1 and entries and not last_fits(rows, sub, entries):
+                return
             pos = len(entries)
             if pos == len(rows):
                 yield dict(zip(rows, entries))
                 return
-            key = (rows, tuple(entries) if coupled else pos)
-            if coupled and key not in caps:
-                # a coupled chain meets no violation: each entry is within its cap
-                caps[key] = coupled_chain(sub, entries)[0][-1]
-            elif key not in caps:
-                # one bounds report holds the caps of every position of rows
-                bounds = compute_bounds(sub).bounds
-                caps.update(((rows, p), b) for p, b in enumerate(bounds))
-            cap = caps[key]
             i = rows[pos]
-            for v in range(min(cap, rem[i]), floor[i] - 1, -1):
+            top = min(cap(rows, sub, tuple(entries)), rem[i])
+            for v in range(top, floor[i] - 1, -1):
                 entries.append(v)
                 yield from entries_of(rows, sub, entries)
                 entries.pop()
@@ -302,29 +346,23 @@ def construct_module(
     ok, reason = validate_corner_matrix(spec, matrix, mode)
     if not ok:
         raise InfeasibleSpec(f"corner matrix rejected: {reason}")
-    m = len(matrix[0])
-    components: list[MonomialIdeal] = []
-    columns: list[IdealRealization | None] = []
+    columns: list[IdealRealization | None] = []  # None marks an empty column
     # equal columns share one construction, and empty ones one filler
     built: dict[tuple[tuple[int, ...], tuple[int, ...]], IdealRealization] = {}
-    filler = None
-    for h in range(m):
+    for h in range(len(matrix[0])):
         rows = tuple(i for i in range(spec.r) if matrix[i][h])
-        if not rows:
-            if filler is None:
-                filler = filler_ideal(spec.n, spec.corners[0].ell, spec.corners[-1].k)
-            components.append(filler)
-            columns.append(None)
-            continue
         key = (rows, tuple(matrix[i][h] for i in rows))
-        realization = built.get(key)
-        if realization is None:
+        if rows and key not in built:
             # its windows are those validate_corner_matrix built, by corners
-            realization = built[key] = construct_ideal(spec.sub_spec(*key), mode)
-        components.append(realization.ideal)
-        columns.append(realization)
-    module = MonomialSubmodule(spec.n, tuple(components))
-    view = corner_matrix(module)
+            built[key] = construct_ideal(spec.sub_spec(*key), mode)
+        columns.append(built.get(key))
+    filler = filler_table = None
+    if None in columns:
+        filler = filler_ideal(spec.n, spec.corners[0].ell, spec.corners[-1].k)
+        filler_table = ek_betti(filler)
+    module = MonomialSubmodule(spec.n, tuple(c.ideal if c else filler for c in columns))
+    # the module's table sums the tables the columns' verifications built
+    view = corner_view(spec.n, [c.table if c else filler_table for c in columns])
     _check_corners(list(zip(view.corners, view.values)), spec, "assembled module")
     if view.rows != tuple(tuple(row) for row in matrix):
         raise VerificationFailed(

@@ -2,10 +2,11 @@
 
 find_corner_matrix walks columns on an explicit stack. This is the search
 it replaced: two mutually recursive closures that nest once per column
-and once per filled cell, with the same search order and the same node
-accounting. The tests hold the two to the same matrix, or the same
-refusal message and exhausted_budget flag, on small specs. Past the
-interpreter's recursion limit it gives up as it does on a spent budget.
+and once per filled cell, in the same search order, without the walk's
+lookahead at the forced last column. It is the soundness reference: the
+tests hold the walk to its matrix or complete refusal wherever it settles
+a small spec within the budget, in no more nodes. Past the interpreter's
+recursion limit it gives up as it does on a spent budget.
 """
 
 from stablebetti.errors import InfeasibleSpec

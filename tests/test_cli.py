@@ -373,12 +373,13 @@ def test_exhausted_search_budget_exits_1(monkeypatch):
         cli, "realize_module", functools.partial(realize_module, node_budget=2000)
     )
     doc = {
-        "n": 8,
+        "n": 10,
         "m": 3,
         "corners": [
-            {"k": 7, "l": 2, "a": 4},
-            {"k": 5, "l": 5, "a": 48},
-            {"k": 3, "l": 8, "a": 119},
+            {"k": 9, "l": 2, "a": 13},
+            {"k": 7, "l": 5, "a": 158},
+            {"k": 5, "l": 8, "a": 3},
+            {"k": 3, "l": 11, "a": 9},
         ],
     }
     code, out, err = invoke(["realize-module"], json.dumps(doc))

@@ -136,26 +136,52 @@ def _search_outcome(search, n, pairs, values, m, mode, budget):
         return str(exc)
 
 
+# the benchmark's two specs that the unpruned search cannot settle within
+# its 2,000 nodes, with the nodes each search needs to find its matrix
+_BENCHMARK_REFUSALS = [((4, 48, 119), 16, 2121), ((5, 69, 28), 86, 2225)]
+
+
 def _budget_examples(test):
-    # the benchmark's two refused realize-module specs, at the budget it
-    # runs them with and one node either side, and at the nodes each needs
-    # to find its matrix and one fewer
-    for values, need in [((4, 48, 119), 2121), ((5, 69, 28), 2225)]:
-        for budget in (1999, 2000, 2001, need - 1, need):
+    # each at the nodes either search needs and one fewer, and at the
+    # budget the benchmark runs them with and one node either side
+    for values, need, reference_need in _BENCHMARK_REFUSALS:
+        budgets = (need - 1, need, 1999, 2000, 2001, reference_need - 1, reference_need)
+        for budget in budgets:
             case = (8, [(7, 2), (5, 5), (3, 8)], list(values), 3, MODE_COUPLED, budget)
             test = example(case)(test)
     return test
+
+
+def _exhausted(outcome):
+    return outcome[-1] is True
 
 
 @settings(deadline=None, max_examples=300)
 @given(_module_searches())
 @_budget_examples
 def test_column_walk_matches_the_recursive_search(case):
-    # same matrix, or the same refusal; the small budgets pin the node
-    # accounting, since a budget refuses at the same node in both
-    assert _search_outcome(find_corner_matrix, *case) == _search_outcome(
-        search_reference.find_corner_matrix, *case
-    )
+    # the lookahead skips only subtrees that hold no matrix, so wherever the
+    # unpruned reference settles a spec within the budget, the walk gives
+    # the same matrix or the same complete refusal, in no more nodes
+    got = _search_outcome(find_corner_matrix, *case)
+    want = _search_outcome(search_reference.find_corner_matrix, *case)
+    if not _exhausted(want):
+        assert got == want
+    elif not _exhausted(got):
+        # settled where the reference ran out: a larger budget takes the
+        # reference to the same matrix or refusal, or runs out again
+        *spec_case, _budget = case
+        more = _search_outcome(search_reference.find_corner_matrix, *spec_case, 20_000)
+        assert got == more or _exhausted(more)
+
+
+@pytest.mark.parametrize("values, need, reference_need", _BENCHMARK_REFUSALS)
+def test_lookahead_settles_the_benchmark_refusals(values, need, reference_need):
+    s = spec(8, [(7, 2), (5, 5), (3, 8)], values)
+    assert _nodes_spent(find_corner_matrix, s, 3, MODE_COUPLED) == need
+    reference = search_reference.find_corner_matrix
+    assert _nodes_spent(reference, s, 3, MODE_COUPLED) == reference_need
+    assert find_corner_matrix(s, 3) == reference(s, 3)
 
 
 def test_validate_corner_matrix_catches_bad_shapes_and_sums():
@@ -261,23 +287,23 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
             assert {corners for corners, _ in chains} <= set(window_sets)
             # each (pattern, prefix) chain is walked at most once per search
             assert len(chains) == len(set(chains))
-            # the unmemoised walk visits the same nodes and needs the same
-            # chains, but walks them again on every column attempt: an
-            # empty prefix starts one, and patterns are retried
+            # the unmemoised, unpruned walk walks more chains, and walks them
+            # again on every column attempt: an empty prefix starts one, and
+            # patterns are retried
             reference_chains.clear()
             with contextlib.suppress(InfeasibleSpec):
                 search_reference.find_corner_matrix(s, m, mode)
-            assert set(reference_chains) == set(chains)
             assert len(reference_chains) > len(chains)
             attempts = [corners for corners, prefix in reference_chains if not prefix]
             assert len(attempts) > len(set(attempts))
-            # the memo leaves every node in place and keeps at most one cap
-            # (one chain) per node spent
+            # the lookahead spends no more nodes than the reference, and a
+            # node keeps at most r caps for its own pattern and r for each
+            # pattern its lookahead tries
             kept = len(chains)
             nodes = _nodes_spent(find_corner_matrix, s, m, mode)
             reference = search_reference.find_corner_matrix
-            assert nodes == _nodes_spent(reference, s, m, mode) > len(attempts)
-            assert nodes > kept
+            assert nodes <= _nodes_spent(reference, s, m, mode)
+            assert kept <= nodes * s.r * (1 + 2**s.r)
 
 
 def test_construct_module_builds_each_column_window_once(monkeypatch):
