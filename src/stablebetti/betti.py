@@ -18,9 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, NotStable
+from .errors import BadRange, BudgetExceeded, NotStable
 from .ideals import MonomialIdeal, MonomialSubmodule
-from .monomials import format_monomial, max_index
+from .monomials import format_monomial
 
 
 class Corner(NamedTuple):
@@ -71,19 +71,26 @@ def _require_stable(module: MonomialSubmodule) -> None:
                 ),
                 component=h + 1,
             )
+        u = ideal.redundant_generator  # the formula needs a minimal list
+        if u is not None:
+            raise BadRange(f"component {h + 1} is not minimal: {format_monomial(u)}")
 
 
 def ek_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     """Betti table of a stable module from its generators alone.
 
-    Refuses non-stable components: the generator formula is only valid for
-    stable input.
+    Refuses non-stable components (NotStable) and non-minimal generator
+    lists (BadRange): the formula needs a stable ideal's minimal generators.
     """
     if isinstance(module, MonomialIdeal):
         module = MonomialSubmodule.of_ideal(module)
     _require_stable(module)
     # per (max index, module degree) group, count * C(top - 1, k) stepped along k
-    groups = Counter((max_index(g), f) for _h, g, f in module.module_generators())
+    groups = Counter()
+    for ideal, f in zip(module.components, module.shifts):
+        pk, _top, packed = ideal.packed  # a generator's top bit is in its x_max field
+        tops = [(b - 1) // pk.width + 1 for b in map(int.bit_length, packed)]
+        groups.update(zip(tops, map(f.__add__, ideal.degrees)))
     entries: dict[tuple[int, int], int] = {}
     for (top, mod_deg), count in groups.items():
         for k in range(top):

@@ -10,6 +10,7 @@ ideal: neither is a meaningful (strongly) stable ideal here.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count
@@ -25,11 +26,6 @@ from .monomials import (
     packing,
     parse_monomial,
 )
-
-
-def canonical_key(u: Monomial) -> tuple:
-    """Sort key giving degree-ascending, lex-descending generator order."""
-    return (degree(u), tuple(-e for e in u))
 
 
 def _check_generators(n: int, gens) -> None:
@@ -51,7 +47,7 @@ def minimalize(n: int, monos) -> tuple[Monomial, ...]:
     canonical order: each monomial is tested, packed (monomials.packing),
     only against the kept ones of lower degree.
     """
-    items = sorted(set(monos), key=canonical_key)
+    items = sorted(set(monos), key=lambda u: (sum(u), [-e for e in u]))
     _check_generators(n, items)
     if not items:
         return ()
@@ -119,56 +115,96 @@ class MonomialIdeal:
         q = pk.pack([e if e < top else top for e in u]) | guards
         return any((q - g) & guards == guards for g in packed)
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Each generator's degree, in the listed order (computed once)."""
+        return tuple(map(sum, self.gens))
+
+    @cached_property
+    def _lower_degrees(self) -> dict[int, list[int]]:
+        """Each listed degree's lower listed degrees, descending."""
+        listed = sorted(set(self.degrees), reverse=True)
+        return {d: [e for e in listed if e < d] for d in listed}
+
+    @cached_property
+    def redundant_generator(self):
+        """A generator listed twice, else the first listed over one of its
+        lower-degree initial segments, else None (computed once): on a stable
+        ideal, exactly a list that is not minimal (_stability_violation)."""
+        gens, lowers = set(self.gens), self._lower_degrees
+        if len(gens) < len(self.gens):
+            return next(g for g, c in Counter(self.gens).items() if c > 1)
+        pairs = zip(self.gens, self.degrees)
+        hits = (g for g, d in pairs for e in lowers[d] if initial_segment(g, e) in gens)
+        return next(hits, None)
+
     def _stability_violation(self, strong: bool):
         """First failing exchange, or None. Unit/zero ideals always fail.
 
         Adjacent exchanges x_{i-1}/x_i settle the strong verdict: inside for
         every generator g, they are inside for every g * z (x_i divides g or
-        z), and x_j/x_i chains x_j/x_{j+1} ... x_{i-1}/x_i, each step taking
-        the variable the last brought in. The ordered scan only names a failure.
+        z), and x_j/x_i chains x_j/x_{j+1} ... x_{i-1}/x_i. The ordered scan
+        names the first failure: generators in order, (i, j) with i, then j
+        ascending, every i with x_i dividing g when strong, the largest else.
 
-        Generators are scanned in order, and for each the exchanges
-        (i, j) with i ascending, then j ascending: every i with x_i
-        dividing the generator when strong, only its largest one when not.
-        An exchange u is looked up packed among the generators and the
-        exchanges found inside so far, then by its lower-degree initial
-        segments among the generators. In a stable ideal u = g(u) * w with
-        g(u) a minimal generator and max(g(u)) <= min(w) (Eliahou-Kervaire,
-        J. Algebra 1990; Herzog-Hibi, Monomial Ideals, 7.2), so g(u) is such
-        a segment. The lower degrees, scanned first, are stable when used,
-        so only a failing exchange misses; a miss falls back to contains,
-        which decides on any input.
+        An exchange u is looked up packed among the generators and members
+        found so far, then so are its initial segments at the listed lower
+        degrees, each cut from the last by dropping x_max (n steps in all,
+        plus one a degree). A hit divides u, so proves it inside on any
+        input; u and the segments walked join the members. In a stable ideal
+        u = g(u) * w, g(u) a minimal generator, max(g(u)) <= min(w)
+        (Eliahou-Kervaire, J. Algebra 1990; Herzog-Hibi, 7.2), so g(u) is a
+        segment and no walk of a strongly stable ideal fails. A failed walk
+        or a unit generator sends the strong verdict to the scan, and a
+        scanned miss goes to contains, which decides on any input.
         """
         if self.is_zero:
             return (None, 0, 0, None)
         pk, _top, packed = self.packed
-        bits = [1 << s for s in pk.shifts]
+        width, shifts = pk.width, pk.shifts
+        bits = [1 << s for s in shifts]
+        lifts = [b - (b >> width) for b in bits[1:]]  # x_{i-1}/x_i is - lift
         known = set(packed)  # a field holds top + 1 too, so q below is exact
-        gens = set(self.gens)
-        degrees = sorted({degree(g) for g in self.gens}, reverse=True)
-        lowers = {d: [e for e in degrees if e < d] for d in degrees}
+        lowers = self._lower_degrees
 
-        def first_miss(adjacent: bool):
-            for g, pg in zip(self.gens, packed):
-                if not pg:
-                    return (g, 0, 0, None)
-                lower = lowers[degree(g)]
-                for i in compress(count(2), g[1:]) if strong else (max_index(g),):
-                    lowered = pg - bits[i - 1]
-                    for j in range(i - 1 if adjacent else 1, i):
-                        q = lowered + bits[j - 1]
-                        if q in known:
-                            continue
-                        moved = g[: j - 1] + (g[j - 1] + 1,) + g[j : i - 1]
-                        moved += (g[i - 1] - 1,) + g[i:]
-                        if not any(initial_segment(moved, e) in gens for e in lower):
-                            if not self.contains(moved):
-                                return (g, i, j, moved)
-                        known.add(q)
+        def walk_hits(q: int, d: int) -> bool:
+            walk, w, c = [q], q, d
+            for e in lowers[d]:
+                while c > e:  # x_max(w) goes, down to degree e at most
+                    s = shifts[(w.bit_length() - 1) // width]
+                    a = w >> s if w >> s < c - e else c - e
+                    w -= a << s
+                    c -= a
+                if w in known:
+                    known.update(walk)
+                    return True
+                walk.append(w)
+            return False
+
+        def adjacent_inside() -> bool:
+            for g, pg, d in zip(self.gens, packed, self.degrees):
+                for lift in compress(lifts, g[1:]):
+                    if pg - lift not in known and not walk_hits(pg - lift, d):
+                        return False
+            return True
+
+        if strong and all(packed) and adjacent_inside():
             return None
-        if strong and first_miss(adjacent=True) is None:
-            return None
-        return first_miss(adjacent=False)
+        for g, pg, d in zip(self.gens, packed, self.degrees):
+            if not pg:
+                return (g, 0, 0, None)
+            for i in compress(count(2), g[1:]) if strong else (max_index(g),):
+                lowered = pg - bits[i - 1]
+                for j in range(1, i):
+                    q = lowered + bits[j - 1]
+                    if q in known or walk_hits(q, d):
+                        continue
+                    moved = g[: j - 1] + (g[j - 1] + 1,) + g[j : i - 1]
+                    moved += (g[i - 1] - 1,) + g[i:]
+                    if not self.contains(moved):
+                        return (g, i, j, moved)
+                    known.add(q)
+        return None
 
     # Each verdict is computed once per ideal; strong stability implies stability.
     @cached_property
@@ -245,12 +281,6 @@ class MonomialSubmodule:
     @property
     def m(self) -> int:
         return len(self.components)
-
-    def module_generators(self):
-        """Triples (component index h, generator u, module degree deg u + f_h)."""
-        for h, (ideal, f) in enumerate(zip(self.components, self.shifts)):
-            for g in ideal.gens:
-                yield h, g, degree(g) + f
 
     def to_obj(self) -> dict:
         return {

@@ -197,7 +197,7 @@ def _point_masks(ideal: MonomialIdeal) -> dict[int, tuple[int, int]]:
     lows, guards, shift = pk.lows, pk.guards, pk.width - 1
     live: dict[int, tuple[int, int]] = {}
     dead: set[int] = set()
-    for g in packed:
+    for g in sorted(packed):
         fresh = _joins(live, g, guards, shift)
         fresh.add(g)
         for a in fresh:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import gt, neg
 
 from .betti import BettiTable, Corner, corner_sequence, ek_betti
 from .errors import (
@@ -37,8 +38,8 @@ from .errors import (
     VerificationFailed,
     json_int,
 )
-from .ideals import MonomialIdeal, canonical_key
-from .monomials import Monomial, degree, format_monomial, initial_segment, mul_var
+from .ideals import MonomialIdeal
+from .monomials import Monomial, format_monomial, mul_var
 from .segments import lex_count, lex_unrank, lex_walk, stratum_member, stratum_rank
 
 MODE_STRICT = "strict-paper"
@@ -390,20 +391,17 @@ def _check_corners(got, spec: CornerSpec, what: str) -> None:
 
 
 def _verify_realization(ideal: MonomialIdeal, spec: CornerSpec) -> BettiTable:
-    """Check a witness kept in its planned order. Once it is strongly stable,
-    a non-minimal generator has a generator among its lower-degree initial
-    segments (Eliahou-Kervaire), so minimality is one lookup per degree."""
-    keys = [canonical_key(g) for g in ideal.gens]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+    """Check a witness kept in its planned order: its (-degree, generator)
+    keys strictly descend. Once it is strongly stable, minimality is one
+    lookup per lower degree (MonomialIdeal.redundant_generator)."""
+    keys = list(zip(map(neg, ideal.degrees), ideal.gens))
+    if not all(map(gt, keys, keys[1:])):
         raise VerificationFailed("constructed generators are not in canonical order")
     if not ideal.is_strongly_stable():
         raise VerificationFailed("constructed ideal is not strongly stable")
-    gens, degrees = set(ideal.gens), {degree(g) for g in ideal.gens}
-    if any(
-        initial_segment(g, e) in gens for g in gens for e in degrees if e < degree(g)
-    ):
+    if ideal.redundant_generator is not None:
         raise VerificationFailed("constructed generators are not minimal as planned")
-    if not degrees <= {c.ell for c in spec.corners}:
+    if not set(ideal.degrees) <= {c.ell for c in spec.corners}:
         raise VerificationFailed(
             "constructed ideal has generators outside the corner degrees"
         )

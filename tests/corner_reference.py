@@ -14,6 +14,13 @@ from stablebetti.ideals import MonomialIdeal, MonomialSubmodule
 from stablebetti.monomials import max_index
 
 
+def module_generators(module: MonomialSubmodule):
+    """(generator u, module degree deg u + f_h) over every component h."""
+    for ideal, f in zip(module.components, module.shifts):
+        for g in ideal.gens:
+            yield g, sum(g) + f
+
+
 def extremal_from_generators(
     module: MonomialSubmodule | MonomialIdeal,
 ) -> list[tuple[Corner, int]]:
@@ -28,7 +35,7 @@ def extremal_from_generators(
     _require_stable(module)
     top_by_degree: dict[int, int] = {}
     count_by_degree: dict[int, dict[int, int]] = {}
-    for _h, g, mod_deg in module.module_generators():
+    for g, mod_deg in module_generators(module):
         top = max_index(g)
         top_by_degree[mod_deg] = max(top_by_degree.get(mod_deg, 0), top)
         count_by_degree.setdefault(mod_deg, {})

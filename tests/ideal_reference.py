@@ -10,8 +10,13 @@ degree of an ideal and serves the dense Koszul slice, and borel_closure
 builds strongly stable test inputs from arbitrary seeds.
 """
 
-from stablebetti.ideals import MonomialIdeal, canonical_key
+from stablebetti.ideals import MonomialIdeal
 from stablebetti.monomials import Monomial, borel_moves, iter_degree, max_index, unit
+
+
+def canonical_key(u: Monomial) -> tuple:
+    """Sort key giving degree-ascending, lex-descending generator order."""
+    return (sum(u), tuple(-e for e in u))
 
 
 def divides(u: Monomial, v: Monomial) -> bool:

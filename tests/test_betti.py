@@ -6,6 +6,7 @@ from conftest import patch_everywhere
 from corner_reference import (
     extremal_by_definition,
     extremal_from_generators,
+    module_generators,
     reference_diagram,
 )
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from ideal_reference import borel_closure
 
 from stablebetti import (
+    BadRange,
     BettiTable,
     Corner,
     MonomialIdeal,
@@ -24,9 +26,11 @@ from stablebetti import (
     extremal_from_table,
     koszul_betti,
     max_index,
+    minimalize,
     module_corner_report,
     render_diagram,
 )
+from stablebetti.monomials import mul_var
 
 
 def test_table_round_trip_and_equality():
@@ -84,6 +88,63 @@ def test_unstable_input_refused():
     with pytest.raises(NotStable) as err:
         ek_betti(zero_component)
     assert err.value.component == 2
+
+
+@pytest.mark.parametrize(
+    "gens, named",
+    [
+        (((1, 0), (2, 0)), "x1^2"),  # over its initial segment x1
+        (((1, 0), (1, 0)), "x1"),
+        (((2, 0), (1, 1), (2, 0)), "x1^2"),
+    ],
+)
+def test_generator_formula_refuses_a_list_that_is_not_minimal(gens, named):
+    # counted as listed, these give beta_{0,2} = 1, beta_{0,1} = 2 and
+    # beta_{0,2} = 3; Koszul homology reads the ideal, not the list
+    ideal = MonomialIdeal(2, gens)
+    with pytest.raises(BadRange) as err:
+        ek_betti(ideal)
+    assert str(err.value) == f"component 1 is not minimal: {named}"
+    assert err.value.exit_code == 1
+    assert koszul_betti(ideal) == ek_betti(MonomialIdeal.from_generators(2, gens))
+    module = MonomialSubmodule(2, (MonomialIdeal.from_generators(2, gens), ideal))
+    with pytest.raises(BadRange, match="^component 2 is not minimal"):
+        ek_betti(module)
+
+
+def _small_monomials(n, max_degree):
+    return st.lists(st.integers(0, n - 1), max_size=max_degree).map(
+        lambda picks: tuple(picks.count(t) for t in range(n))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generator_formula_equals_koszul_homology_or_refuses_on_built_lists(data):
+    # lists built directly, not minimalized: arbitrary ones, and strongly
+    # stable ones shuffled, with a repeat, or with multiples kept. A
+    # stable minimal list gets the Koszul table; anything else a typed
+    # refusal, BadRange exactly when a stable list is not minimal
+    n = data.draw(st.integers(1, 4), label="n")
+    gens = data.draw(st.lists(_small_monomials(n, 3), max_size=6), label="gens")
+    lists = [gens]
+    if gens:
+        shuffled = data.draw(
+            st.permutations(borel_closure(n, gens[:2]).gens), label="shuffled"
+        )
+        picks = data.draw(st.lists(st.sampled_from(shuffled), max_size=2))
+        t = data.draw(st.integers(1, n), label="t")
+        lists += [shuffled, shuffled + picks, shuffled + [mul_var(g, t) for g in picks]]
+    for listed in lists:
+        ideal = MonomialIdeal(n, tuple(listed))
+        if not ideal.is_stable():
+            with pytest.raises(NotStable):
+                ek_betti(ideal)
+        elif len(minimalize(n, listed)) < len(listed):
+            with pytest.raises(BadRange):
+                ek_betti(ideal)
+        else:
+            assert ek_betti(ideal) == koszul_betti(ideal), listed
 
 
 def test_extremal_scan_matches_definition_by_hand():
@@ -225,7 +286,7 @@ def _ek_entries_per_generator(module):
     """The generator formula one generator at a time, entries in the order
     they are first met."""
     entries = {}
-    for _h, g, mod_deg in module.module_generators():
+    for g, mod_deg in module_generators(module):
         top = max_index(g)
         for k in range(top):
             key = (k, k + mod_deg)

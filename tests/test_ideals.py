@@ -21,7 +21,6 @@ from stablebetti import (
     parse_module_or_ideal,
     parse_monomial,
 )
-from stablebetti.ideals import canonical_key
 from stablebetti.monomials import mul_var
 
 
@@ -189,7 +188,7 @@ def test_bulk_generator_check_reports_the_per_generator_message(data):
         gens.insert(data.draw(st.integers(0, len(gens)), label="at"), bad)
     for build, order in [
         (lambda: MonomialIdeal(n, tuple(gens)), gens),
-        (lambda: minimalize(n, gens), sorted(set(gens), key=canonical_key)),
+        (lambda: minimalize(n, gens), sorted(set(gens), key=reference.canonical_key)),
     ]:
         with pytest.raises(BadRange) as caught:
             build()
@@ -213,13 +212,6 @@ def test_submodule_validation():
         MonomialSubmodule(3, (ideal,))  # ambient mismatch
 
 
-def test_module_generators_include_shifts():
-    ideal = MonomialIdeal.from_strings(2, ["x1^2", "x1*x2"])
-    module = MonomialSubmodule(2, (ideal, ideal), (0, 3))
-    triples = list(module.module_generators())
-    assert (0, parse_monomial("x1^2", 2), 2) in triples
-    assert (1, parse_monomial("x1^2", 2), 5) in triples
-    assert len(triples) == 4
 
 
 def test_module_json_round_trip():
@@ -426,3 +418,50 @@ def test_a_lookup_hit_needs_a_segment_of_the_exchange_itself():
     assert ideal.stability_violation(strong=True) == reference.stability_violation(
         ideal, True
     )
+
+
+def test_a_failed_walk_falls_through_to_the_ordered_scan():
+    # x1*x3 listed before x2: x1*x2, the adjacent exchange of x1*x3, lies
+    # inside by x2, but its one lower segment, x1, does not, as the lower
+    # degree is not strongly stable; the scan must name the first failure
+    ideal = MonomialIdeal(3, ((1, 0, 1), (0, 1, 0)))
+    assert ideal.contains((1, 1, 0)) and not ideal.contains((1, 0, 0))
+    for strong in (True, False):
+        fresh = MonomialIdeal(3, ideal.gens)
+        assert fresh.stability_violation(strong) == ((1, 0, 1), 3, 1, (2, 0, 0))
+        assert fresh.stability_violation(strong) == reference.stability_violation(
+            ideal, strong
+        )
+
+
+def test_a_unit_listed_after_other_generators_is_named_by_the_scan():
+    # the unit makes every exchange inside, yet both verdicts name it
+    for gens in (((0, 1), (0, 0)), ((1, 0), (0, 1), (0, 0)), ((0, 2), (0, 0))):
+        for strong in (True, False):
+            ideal = MonomialIdeal(2, gens)
+            assert ideal.stability_violation(strong) == ((0, 0), 0, 0, None)
+            assert reference.stability_violation(ideal, strong) == ((0, 0), 0, 0, None)
+        assert MonomialIdeal(2, gens).redundant_generator == gens[0]
+
+
+def test_a_walk_drops_whole_powers_whatever_the_exponents():
+    # x1*x2^(N-1), the exchange of x2^N, is inside by x1 at degree 1: the
+    # walk drops all of x2's power in one step, not N - 1
+    big = 10**15
+    ideal = MonomialIdeal(3, ((1, 0, 0), (0, big, 0), (0, big - 1, 1)))
+    assert ideal.is_strongly_stable() and ideal.redundant_generator is None
+    lone = MonomialIdeal(2, ((0, big),))
+    assert lone.stability_violation(strong=True) == ((0, big), 2, 1, (1, big - 1))
+    listed = MonomialIdeal(2, ((1, 0), (0, big), (big, 1)))
+    assert listed.redundant_generator == (big, 1)
+
+
+def test_redundant_generator_names_a_repeat_or_a_multiple_of_a_segment():
+    assert MonomialIdeal(2, ((1, 0), (2, 0))).redundant_generator == (2, 0)
+    assert MonomialIdeal(2, ((2, 0), (1, 1), (2, 0))).redundant_generator == (2, 0)
+    # x2^2 divides x1*x2^2 but is no initial segment of it: only a stable
+    # ideal's multiples are sure to be found
+    assert MonomialIdeal(2, ((0, 2), (1, 2))).redundant_generator is None
+    assert MonomialIdeal(2, ((1, 0), (1, 1))).redundant_generator == (1, 1)
+    stable = MonomialIdeal.from_strings(3, ["x1^2", "x1*x2", "x2^2", "x1*x3^4"])
+    assert stable.redundant_generator is None
