@@ -6,9 +6,10 @@ stdin) as an ideal or module, or as a corner spec with its mode; census
 reads its arguments alone. The command computes, touching no stream, and
 returns one deterministic JSON document, the diagram's plain text, or
 census lines (one compact JSON line per ideal) yielded as they are found.
-run is the one writer: it writes that to stdout, and a failure as a single
-JSON object on stderr. Exit codes sort failures by kind; each error class
-carries its code as exit_code (errors.py), other failures exit 1:
+run is the one writer: it writes that to stdout, a document as the bytes
+of json.dumps(indent=2, sort_keys=True), and a failure as one JSON object
+on stderr. Exit codes sort failures by kind; each error class carries its
+code as exit_code (errors.py), other failures exit 1:
 
     0  success (including check-stable reporting an unstable input)
     1  any other error: bad input or usage, I/O trouble, an exhausted budget
@@ -23,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain, repeat
 
 from . import __version__
 from .betti import (
@@ -157,9 +159,42 @@ def _read_spec(args, stdin) -> tuple[CornerSpec, str, dict]:
     return spec, _check_mode(doc.get("mode", MODE_COUPLED)), doc
 
 
+def _flat(values) -> bool:
+    return not any(map(isinstance, values, repeat((dict, list, tuple))))
+
+
+@functools.cache
+def _flat_encoder(pad: str):
+    return json.JSONEncoder(sort_keys=True, separators=("," + pad, ": ")).encode
+
+
+def _text(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), str keys only, of a value
+    on a line that starts with pad (a newline, the indent): a C encoder call
+    per container of scalars or list of those of one type, none per int."""
+    if not obj or not isinstance(obj, (dict, list, tuple)):  # a scalar, [] or {}
+        return int.__repr__(obj) if type(obj) is int else _flat_encoder(pad)(obj)
+    inner, sep, deep = pad + "  ", "," + pad + "  ", pad + "    "
+    row = None if isinstance(obj, dict) else type(obj[0])
+    if _flat(obj if row else obj.values()):
+        body = _flat_encoder(inner)(obj)[1:-1]
+    elif row is None:
+        key = _flat_encoder(pad)
+        body = sep.join([f"{key(k)}: {_text(obj[k], inner)}" for k in sorted(obj)])
+    elif all(obj) and all(map(isinstance, obj, repeat(row))) and _flat(
+        chain.from_iterable(map(dict.values, obj) if issubclass(row, dict) else obj)
+    ):  # "]," or "}," and a newline end a row: strings hold no raw newline
+        a, b = "{}" if issubclass(row, dict) else "[]"
+        rows = _flat_encoder(deep)(obj)[2:-2].split(b + "," + deep + a)
+        body = a + deep + (inner + b + sep + a + deep).join(rows) + inner + b
+    else:
+        body = sep.join([_text(v, inner) for v in obj])
+    return ("[" if row else "{") + inner + body + pad + ("]" if row else "}")
+
+
 def _dump(obj: dict, stdout) -> None:
-    # one write: json.dump writes once per chunk
-    stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # json.dumps(obj, indent=2, sort_keys=True) and a newline, in one write
+    stdout.write(_text(obj, "\n") + "\n")
 
 
 def _stars(table):

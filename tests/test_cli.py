@@ -6,7 +6,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ideal_reference import borel_closure
 
@@ -280,10 +280,53 @@ def test_realize_ideal_round_trip():
     assert payload["picks"] == ["x1*x6", "x2*x4^2", "x3^5"]
 
 
-def test_dump_writes_what_json_dump_writes():
+def _json_strings():
+    # pieces that look like the separators of a list of rows, or need escapes
+    pieces = ['"},', "},\n    {", "],\n    [", "{", "}", "[", "]", '"', "\\", "\n"]
+    pieces += [",", " ", "x", "\u00e9", "\u2603", "\U0001f600"]
+    return st.text() | st.lists(st.sampled_from(pieces)).map("".join)
+
+
+def _json_trees():
+    """JSON trees with str keys: every kind of scalar (nan and inf, ints
+    past 64 bits), tuples as well as lists, lists of rows (flat dicts, lists
+    or tuples, mixed, some empty), and empty containers at every depth."""
+    keys = _json_strings()
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.floats()
+        | st.integers()
+        | st.integers(-(2**80), 2**80)
+        | _json_strings()
+    )
+    seqs = st.lists(scalars, max_size=4)
+    flat = seqs | seqs.map(tuple) | st.dictionaries(keys, scalars, max_size=4)
+    rows = st.lists(st.dictionaries(keys, scalars, max_size=3), max_size=4) | st.lists(
+        flat, max_size=4
+    )
+    return st.recursive(
+        scalars | flat | rows,
+        lambda kids: st.lists(kids, max_size=4).flatmap(
+            lambda xs: st.sampled_from([xs, tuple(xs)])
+        )
+        | st.dictionaries(keys, kids, max_size=4),
+        max_leaves=20,
+    )
+
+
+@functools.cache
+def _realized_doc() -> dict:
     _code, out, _err = invoke(["realize-ideal"], json.dumps(SPEC3))
-    doc = json.loads(out)
-    for obj in (doc, {}, {"b": [1, {"a": None}], "a": "x\u00e9"}):
+    return json.loads(out)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_json_trees())
+@example({})
+@example({"b": [1, {"a": None}], "a": "x\u00e9"})
+def test_dump_writes_what_json_dump_writes(tree):
+    for obj in (tree, _realized_doc()):
         once, chunked = io.StringIO(), io.StringIO()
         _dump(obj, once)
         json.dump(obj, chunked, indent=2, sort_keys=True)
