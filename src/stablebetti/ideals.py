@@ -29,12 +29,15 @@ from .monomials import (
 
 
 def _check_generators(n: int, gens) -> None:
-    """Refuse the first generator that is not n exponents >= 0. Two C-level
-    passes clear a valid list; only a failing one is walked for the message."""
-    if set(map(len, gens)) - {n} or min(chain.from_iterable(gens), default=0) < 0:
+    """Refuse the first generator that is not n int (not bool) exponents >= 0.
+    Three C-level passes clear a valid list; only a failing one is walked."""
+    bad = set(map(len, gens)) - {n} or set(map(type, chain.from_iterable(gens))) - {int}
+    if bad or min(chain.from_iterable(gens), default=0) < 0:
         for g in gens:
             if len(g) != n:
                 raise BadRange(f"generator {g} has {len(g)} exponents, expected {n}")
+            if set(map(type, g)) - {int}:
+                raise BadRange(f"non-integer exponent in {g}")
             if min(g, default=0) < 0:
                 raise BadRange(f"negative exponent in {g}")
 
@@ -42,12 +45,12 @@ def _check_generators(n: int, gens) -> None:
 def minimalize(n: int, monos) -> tuple[Monomial, ...]:
     """Drop every monomial that is a multiple of another one.
 
-    The distinct monomials are checked in canonical order before they are
-    packed. A proper divisor has lower degree and so comes first in
-    canonical order: each monomial is tested, packed (monomials.packing),
+    Every monomial, as a tuple, is checked in canonical order before the
+    repeats go. A proper divisor has lower degree and so comes first in
+    canonical order: each one left is tested, packed (monomials.packing),
     only against the kept ones of lower degree.
     """
-    items = sorted(set(monos), key=lambda u: (sum(u), [-e for e in u]))
+    items = sorted(map(tuple, monos), key=lambda u: (sum(u), [-e for e in u]))
     _check_generators(n, items)
     if not items:
         return ()
@@ -56,7 +59,7 @@ def minimalize(n: int, monos) -> tuple[Monomial, ...]:
     kept: list[Monomial] = []
     kept_packed: list[int] = []
     lower, d = (), None
-    for u in items:
+    for u in dict.fromkeys(items):
         if degree(u) != d:
             d, lower = degree(u), tuple(kept_packed)
         q = pk.pack(u)
@@ -76,16 +79,27 @@ class MonomialIdeal:
 
     def __post_init__(self):
         """Refuse n < 1, then the first bad generator in the order given.
-        Generators given as a list are stored as a tuple, so the ideal hashes."""
+        Generators given as lists are stored as tuples, so the ideal hashes."""
         if self.n < 1:
             raise BadRange(f"need n >= 1, got {self.n}")
-        if not isinstance(self.gens, tuple):
+        if not isinstance(self.gens, tuple) or set(map(type, self.gens)) - {tuple}:
             object.__setattr__(self, "gens", tuple(map(tuple, self.gens)))
         _check_generators(self.n, self.gens)
 
     @classmethod
+    def _trusted(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """The ideal of gens, unchecked: for package code whose n >= 1 and
+        generators (tuples of n int exponents >= 0) were checked or built so."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n", n)  # as __init__ does: __dict__ adds 150 B
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
+
+    @classmethod
     def from_generators(cls, n: int, monos) -> "MonomialIdeal":
-        return cls(n, minimalize(n, monos))
+        if n < 1:
+            raise BadRange(f"need n >= 1, got {n}")
+        return cls._trusted(n, minimalize(n, monos))
 
     @classmethod
     def from_strings(cls, n: int, texts) -> "MonomialIdeal":

@@ -351,7 +351,7 @@ def enumerate_strongly_stable(
                     pending.append((j, included, up_shadow, k))
             if d == max_degree:
                 if gens or added:  # minimal, and in canonical order as added
-                    yield MonomialIdeal(n, gens + tuple(added))
+                    yield MonomialIdeal._trusted(n, gens + tuple(added))
             else:
                 yield from by_degree(d + 1, up_shadow, gens + tuple(added))
             while pending:

@@ -456,7 +456,7 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
         # a nonempty run of ranks: unrank its first member, walk the rest
         first = lex_unrank(spec.n, c.k + 1, c.ell, above + 1)
         blocks.append(tuple(islice(lex_walk(first, c.k + 1), last - above)))
-    ideal = MonomialIdeal(spec.n, tuple(g for block in blocks for g in block))
+    ideal = MonomialIdeal._trusted(spec.n, tuple(g for block in blocks for g in block))
     table = _verify_realization(ideal, spec)
     return IdealRealization(
         spec,

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import itertools
 import json
 
 import ideal_reference as reference
@@ -164,12 +166,78 @@ def test_generator_exponents_are_checked():
         MonomialIdeal(0, ((),))
 
 
+def test_every_constructor_refuses_n_below_one():
+    for build in [
+        lambda: MonomialIdeal(0, ()),
+        lambda: MonomialIdeal.from_generators(0, []),
+        lambda: MonomialIdeal.from_strings(0, []),
+        lambda: MonomialIdeal.from_generators(-1, [()]),
+    ]:
+        with pytest.raises(BadRange, match=r"^need n >= 1, got -?[01]$") as caught:
+            build()
+        assert caught.value.exit_code == 1
+
+
+def test_float_and_bool_exponents_are_refused_and_list_generators_converted():
+    new, built = MonomialIdeal, MonomialIdeal.from_generators
+    for build, named in [
+        (lambda: new(2, ((1.0, 0),)), (1.0, 0)),
+        (lambda: built(2, [(1.0, 0)]), (1.0, 0)),
+        (lambda: new(2, ((True, 0), (0, 1))), (True, 0)),
+        (lambda: new(2, ((1, 0), (0, False))), (0, False)),
+        (lambda: minimalize(2, [(0, 1), (1, 0.5)]), (1, 0.5)),
+        # equal to a listed int generator, so a set would have dropped it
+        (lambda: built(2, [(1, 0), (1.0, 0)]), (1.0, 0)),
+        (lambda: built(2, [[1, 0], [True, 1]]), (True, 1)),
+    ]:
+        with pytest.raises(BadRange) as caught:
+            build()
+        assert str(caught.value) == f"non-integer exponent in {named}"
+        assert caught.value.exit_code == 1
+    want = MonomialIdeal(2, ((1, 0), (0, 1)))
+    for ideal in [
+        MonomialIdeal.from_generators(2, [[1, 0], [0, 1], [1, 1]]),
+        MonomialIdeal(2, ([1, 0], (0, 1))),
+    ]:
+        assert ideal == want and hash(ideal) == hash(want)
+        assert all(type(g) is tuple for g in ideal.gens)
+        assert ideal.is_strongly_stable()
+
+
+def test_ideals_built_unchecked_equal_their_checked_rebuild():
+    # the census walk, construct_ideal and from_generators make their ideals
+    # without the constructor's checks; each must be the ideal the checked
+    # constructor makes of the same generators, with int exponents only
+    census = [i for n in range(1, 5) for i in enumerate_strongly_stable(n, 4)]
+    census += enumerate_strongly_stable(5, 3)
+    assert len(census) == 9686 + 2429
+    corners = (Corner(9, 2), Corner(7, 5), Corner(5, 8), Corner(3, 11))
+    values: list[int] = []
+    for _ in corners:  # each value at the coupled cap its prefix leaves
+        values.append(coupled_chain(CornerSpec(10, corners, (1,) * 4), values)[0][-1])
+    witness = construct_ideal(CornerSpec(10, corners, tuple(values))).ideal
+    parsed = MonomialIdeal.from_strings(3, ["x2^2", "x1*x3", "x1^2", "x1*x2", "x1"])
+    for ideal in census + [witness, parsed]:
+        checked = MonomialIdeal(ideal.n, ideal.gens)
+        assert ideal == checked and hash(ideal) == hash(checked)
+        assert type(ideal.gens) is tuple and set(map(type, ideal.gens)) == {tuple}
+        assert set(map(type, itertools.chain.from_iterable(ideal.gens))) == {int}
+    assert len(witness.gens) > 100
+    # the census lines come in the order they did when every ideal was
+    # checked on the way out
+    for (n, d), want in [((4, 4), "6bf3163618973d4a"), ((3, 6), "c3ac86fc78d9e794")]:
+        lines = "\n".join(i.to_json() for i in enumerate_strongly_stable(n, d))
+        assert hashlib.sha256(lines.encode()).hexdigest()[:16] == want
+
+
 def _first_bad_generator(n, gens):
     """The message of the first generator, in the order given, that is not
-    n exponents >= 0, checked one generator at a time; None if all pass."""
+    n int exponents >= 0, checked one generator at a time; None if all pass."""
     for g in gens:
         if len(g) != n:
             return f"generator {g} has {len(g)} exponents, expected {n}"
+        if any(type(e) is not int for e in g):
+            return f"non-integer exponent in {g}"
         if min(g, default=0) < 0:
             return f"negative exponent in {g}"
     return None
@@ -180,15 +248,17 @@ def _first_bad_generator(n, gens):
 def test_bulk_generator_check_reports_the_per_generator_message(data):
     n = data.draw(st.integers(1, 4), label="n")
     gens = data.draw(st.lists(_monomials(n, 4), max_size=8), label="gens")
-    # one to three bad entries: a wrong length, a negative exponent, or both
+    # one to three bad entries: a wrong length, a negative exponent, a
+    # float or bool exponent, or several of these
+    exponents = st.integers(-3, 3) | st.sampled_from([True, False, 0.0, 1.0, -1.5])
     for _ in range(data.draw(st.integers(1, 3), label="bad")):
         size = data.draw(st.integers(0, n + 2).filter(lambda k: k != n) | st.just(n))
-        bad = data.draw(st.tuples(*[st.integers(-3, 3)] * size), label="bad entry")
+        bad = data.draw(st.tuples(*[exponents] * size), label="bad entry")
         assume(_first_bad_generator(n, [bad]))
         gens.insert(data.draw(st.integers(0, len(gens)), label="at"), bad)
     for build, order in [
         (lambda: MonomialIdeal(n, tuple(gens)), gens),
-        (lambda: minimalize(n, gens), sorted(set(gens), key=reference.canonical_key)),
+        (lambda: minimalize(n, gens), sorted(gens, key=reference.canonical_key)),
     ]:
         with pytest.raises(BadRange) as caught:
             build()
