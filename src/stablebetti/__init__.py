@@ -40,7 +40,6 @@ from .monomials import (
     borel_moves,
     degree,
     format_monomial,
-    max_index,
     parse_monomial,
 )
 from .oracle import enumerate_strongly_stable, koszul_betti
@@ -114,7 +113,6 @@ __all__ = [
     "koszul_betti",
     "lex_count",
     "lex_unrank",
-    "max_index",
     "minimalize",
     "module_corner_report",
     "parse_module_or_ideal",

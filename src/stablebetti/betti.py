@@ -88,9 +88,7 @@ def ek_betti(module: MonomialSubmodule | MonomialIdeal) -> BettiTable:
     # per (max index, module degree) group, count * C(top - 1, k) stepped along k
     groups = Counter()
     for ideal, f in zip(module.components, module.shifts):
-        pk, _top, packed = ideal.packed  # a generator's top bit is in its x_max field
-        tops = [(b - 1) // pk.width + 1 for b in map(int.bit_length, packed)]
-        groups.update(zip(tops, map(f.__add__, ideal.degrees)))
+        groups.update(zip(ideal.max_indices, map(f.__add__, ideal.degrees)))
     entries: dict[tuple[int, int], int] = {}
     for (top, mod_deg), count in groups.items():
         for k in range(top):
@@ -146,15 +144,9 @@ class CornerMatrixView:
 def corner_matrix(module: MonomialSubmodule) -> CornerMatrixView:
     """The corner matrix, building each component's table once."""
     _require_stable(module)  # names a failing component by its module index
-    component_tables = []
-    for ideal, f in zip(module.components, module.shifts):
-        table = ek_betti(ideal)
-        if f:
-            table = BettiTable(
-                module.n, {(i, j + f): b for (i, j), b in table.entries.items()}
-            )
-        component_tables.append(table)
-    return corner_view(module.n, component_tables)
+    parts = zip(module.components, module.shifts)
+    shifted = [MonomialSubmodule(module.n, (c,), (f,)) for c, f in parts]
+    return corner_view(module.n, [ek_betti(part) for part in shifted])
 
 
 def corner_view(n: int, component_tables) -> CornerMatrixView:

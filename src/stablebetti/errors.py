@@ -42,6 +42,13 @@ class BadRange(StableBettiError):
     """Numeric argument outside its documented range."""
 
 
+def positive_int(value, what: str, error: type[StableBettiError] = BadRange) -> int:
+    """value if it is an int (not a bool) >= 1, else error naming it."""
+    if json_int(value, what, error) < 1:
+        raise error(f"need {what} >= 1, got {value}")
+    return value
+
+
 class NotStable(StableBettiError):
     """Betti formula applied to a non-stable component."""
 

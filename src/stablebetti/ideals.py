@@ -15,17 +15,27 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count
 
-from .errors import BadRange, MonomialSyntaxError, json_document, json_int
+from .errors import BadRange, MonomialSyntaxError, json_document, json_int, positive_int
 from .monomials import (
     Monomial,
     Packing,
     degree,
     format_monomial,
     initial_segment,
-    max_index,
     packing,
     parse_monomial,
 )
+
+
+def _as_tuples(gens) -> list:
+    """Each generator as a tuple; BadRange names one that is no sequence."""
+    out, g = [], gens
+    try:
+        for g in gens:
+            out.append(tuple(g))
+    except TypeError:
+        raise BadRange(f"not a sequence of exponents: {g!r}") from None
+    return out
 
 
 def _check_generators(n: int, gens) -> None:
@@ -46,11 +56,17 @@ def minimalize(n: int, monos) -> tuple[Monomial, ...]:
     """Drop every monomial that is a multiple of another one.
 
     Every monomial, as a tuple, is checked in canonical order before the
-    repeats go. A proper divisor has lower degree and so comes first in
+    repeats go (in the order given, if an exponent is not a number); n must
+    be an int. A proper divisor has lower degree and so comes first in
     canonical order: each one left is tested, packed (monomials.packing),
     only against the kept ones of lower degree.
     """
-    items = sorted(map(tuple, monos), key=lambda u: (sum(u), [-e for e in u]))
+    json_int(n, "n", BadRange)
+    items = _as_tuples(monos)
+    try:
+        items.sort(key=lambda u: (sum(u), [-e for e in u]))
+    except TypeError:  # a non-number, which the check refuses
+        pass
     _check_generators(n, items)
     if not items:
         return ()
@@ -78,12 +94,11 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        """Refuse n < 1, then the first bad generator in the order given.
-        Generators given as lists are stored as tuples, so the ideal hashes."""
-        if self.n < 1:
-            raise BadRange(f"need n >= 1, got {self.n}")
+        """Refuse a non-int or n < 1, then the first bad generator in the order
+        given. Generators given as lists are stored as tuples, so the ideal hashes."""
+        positive_int(self.n, "n")
         if not isinstance(self.gens, tuple) or set(map(type, self.gens)) - {tuple}:
-            object.__setattr__(self, "gens", tuple(map(tuple, self.gens)))
+            object.__setattr__(self, "gens", tuple(_as_tuples(self.gens)))
         _check_generators(self.n, self.gens)
 
     @classmethod
@@ -97,8 +112,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_generators(cls, n: int, monos) -> "MonomialIdeal":
-        if n < 1:
-            raise BadRange(f"need n >= 1, got {n}")
+        positive_int(n, "n")
         return cls._trusted(n, minimalize(n, monos))
 
     @classmethod
@@ -118,8 +132,9 @@ class MonomialIdeal:
         return pk, top, tuple(map(pk.pack, self.gens))
 
     def contains(self, u: Monomial) -> bool:
-        if len(u) != self.n:
-            raise BadRange("monomial lives in a different ring")
+        (u,) = _as_tuples((u,))
+        if len(u) != self.n or set(map(type, u)) - {int}:
+            raise BadRange(f"monomial {u} is not {self.n} int exponents")
         if min(u) < 0:
             return False
         pk, top, packed = self.packed
@@ -133,6 +148,13 @@ class MonomialIdeal:
     def degrees(self) -> tuple[int, ...]:
         """Each generator's degree, in the listed order (computed once)."""
         return tuple(map(sum, self.gens))
+
+    @cached_property
+    def max_indices(self) -> tuple[int, ...]:
+        """Each generator's largest variable index, 0 for the unit, in the
+        listed order (computed once): the field of its packed top bit."""
+        pk, _top, packed = self.packed
+        return tuple((b - 1) // pk.width + 1 for b in map(int.bit_length, packed))
 
     @cached_property
     def _lower_degrees(self) -> dict[int, list[int]]:
@@ -204,10 +226,10 @@ class MonomialIdeal:
 
         if strong and all(packed) and adjacent_inside():
             return None
-        for g, pg, d in zip(self.gens, packed, self.degrees):
+        for g, pg, d, top in zip(self.gens, packed, self.degrees, self.max_indices):
             if not pg:
                 return (g, 0, 0, None)
-            for i in compress(count(2), g[1:]) if strong else (max_index(g),):
+            for i in compress(count(2), g[1:]) if strong else (top,):
                 lowered = pg - bits[i - 1]
                 for j in range(1, i):
                     q = lowered + bits[j - 1]

@@ -10,9 +10,8 @@ tuple order means nothing, so the package only compares within a degree.
 from __future__ import annotations
 
 import re
-from itertools import combinations_with_replacement
 from operator import lshift
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import BadRange, MonomialSyntaxError
 
@@ -27,14 +26,6 @@ def unit(n: int) -> Monomial:
 
 def degree(u: Monomial) -> int:
     return sum(u)
-
-
-def max_index(u: Monomial) -> int:
-    """Largest index of a variable dividing u; 0 for the unit monomial."""
-    for i in range(len(u) - 1, -1, -1):
-        if u[i]:
-            return i + 1
-    return 0
 
 
 def mul_var(u: Monomial, i: int, power: int = 1) -> Monomial:
@@ -93,16 +84,6 @@ def borel_moves(u: Monomial) -> list[Monomial]:
                 w[j] += 1
                 out.append(tuple(w))
     return out
-
-
-def iter_degree(n: int, d: int) -> Iterator[Monomial]:
-    """All degree-d monomials in n variables, lex-descending: their sorted
-    variable indices come in increasing lexicographic order."""
-    for indices in combinations_with_replacement(range(n), d):
-        u = [0] * n
-        for i in indices:
-            u[i] += 1
-        yield tuple(u)
 
 
 def parse_monomial(text: str, n: int) -> Monomial:

@@ -31,9 +31,10 @@ from functools import cache
 from math import gcd, inf
 
 from .betti import BettiTable
-from .errors import BadRange, BudgetExceeded
+from .errors import BudgetExceeded, positive_int
 from .ideals import MonomialIdeal, MonomialSubmodule
-from .monomials import Monomial, borel_moves, iter_degree, mul_var
+from .monomials import Monomial, borel_moves, mul_var
+from .segments import lex_walk
 
 
 def _rank(columns: list[dict[int, int]]) -> int:
@@ -264,15 +265,16 @@ def enumerate_strongly_stable(
 
     Covers exactly the ideals with minimal generators of degree at most
     max_degree (and at most max_gens of them, when set), zero ideal
-    excluded. Degree by degree the search picks a Borel-closed superset
-    of the previous slice's shadow; the surplus over the shadow is
-    automatically the minimal generating set in that degree. Order is
+    excluded; n, max_degree and max_gens are ints >= 1 (else BadRange,
+    before any work). Degree by degree the search picks a Borel-closed
+    superset of the previous slice's shadow; the surplus over the shadow
+    is automatically the minimal generating set in that degree. Order is
     deterministic. Guard rails n <= 5, max_degree <= 6 keep accidental
     blowups out, and a search past CENSUS_DECISIONS decisions raises
     BudgetExceeded after yielding what it found; pass allow_large=True
     to lift both.
 
-    A degree's slice is a bitmask over its iter_degree order. Each
+    A degree's slice is a bitmask over its lex_walk order. Each
     candidate carries, built once per census, its borel_moves as a mask
     over its own degree (it may join when the mask lies inside the
     slice) and its multiples x_t * u as a mask over the next degree (the
@@ -288,12 +290,10 @@ def enumerate_strongly_stable(
     ideals as one charge per decision would. Only the degrees chain as
     generators, at most max_degree deep.
     """
-    if n < 1:
-        raise BadRange(f"need n >= 1, got {n}")
-    if max_degree < 1:
-        raise BadRange(f"need max_degree >= 1, got {max_degree}")
-    if max_gens is not None and max_gens < 1:
-        raise BadRange(f"need max_gens >= 1, got {max_gens}")
+    positive_int(n, "n")
+    positive_int(max_degree, "max_degree")
+    if max_gens is not None:
+        positive_int(max_gens, "max_gens")
     if not allow_large and (n > 5 or max_degree > 6):
         raise BudgetExceeded(
             f"census guard rails allow n <= 5 and max_degree <= 6, got "
@@ -312,7 +312,7 @@ def enumerate_strongly_stable(
     # each degree's candidates as (u, moves mask, multiples mask); a
     # monomial's moves are distinct, and so are its multiples
     index = [
-        {u: i for i, u in enumerate(iter_degree(n, d))}
+        {u: i for i, u in enumerate(lex_walk((d,) + (0,) * (n - 1), n))}
         for d in range(1, max_degree + 2)
     ]
     levels = [

@@ -45,7 +45,7 @@ from .errors import (
     SpecError,
     UncoveredByCharacterization,
     VerificationFailed,
-    json_int,
+    positive_int,
 )
 from .ideals import MonomialIdeal, MonomialSubmodule
 from .monomials import mul_var, unit
@@ -79,8 +79,7 @@ def validate_module_spec(spec: CornerSpec, m: int) -> None:
     m * C(k_i + l_i - 1, l_i - 1) raises InfeasibleSpec. An m above
     MAX_COMPONENTS raises BudgetExceeded.
     """
-    if json_int(m, "m", SpecError) < 1:
-        raise SpecError(f"need m >= 1, got {m}")
+    positive_int(m, "m", SpecError)
     if m > MAX_COMPONENTS:
         raise BudgetExceeded(f"a module spec allows m <= {MAX_COMPONENTS}, got {m}")
     if m == 1:

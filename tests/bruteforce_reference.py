@@ -7,6 +7,7 @@ realizability verdicts to an exhaustive scan.
 import itertools
 from dataclasses import dataclass
 
+from monomial_reference import iter_degree, max_index
 from window_reference import shadow, stratum_list
 
 from stablebetti import (
@@ -20,7 +21,7 @@ from stablebetti import (
     enumerate_strongly_stable,
     stratum_size,
 )
-from stablebetti.monomials import Monomial, borel_moves, iter_degree, max_index
+from stablebetti.monomials import Monomial, borel_moves
 
 
 @dataclass(frozen=True)

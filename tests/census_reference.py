@@ -11,10 +11,12 @@ BudgetExceeded point under any budget.
 
 from math import inf
 
+from monomial_reference import iter_degree
+
 from stablebetti import oracle
 from stablebetti.errors import BadRange, BudgetExceeded
 from stablebetti.ideals import MonomialIdeal
-from stablebetti.monomials import Monomial, borel_moves, iter_degree, mul_var
+from stablebetti.monomials import Monomial, borel_moves, mul_var
 
 
 def enumerate_strongly_stable(

@@ -9,9 +9,10 @@ and the Betti tests compare the three. reference_diagram is the diagram
 drawn cell by cell, the renderer's reference.
 """
 
+from monomial_reference import max_index
+
 from stablebetti.betti import BettiTable, Corner, _require_stable
 from stablebetti.ideals import MonomialIdeal, MonomialSubmodule
-from stablebetti.monomials import max_index
 
 
 def module_generators(module: MonomialSubmodule):

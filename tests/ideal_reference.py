@@ -10,8 +10,10 @@ degree of an ideal and serves the dense Koszul slice, and borel_closure
 builds strongly stable test inputs from arbitrary seeds.
 """
 
+from monomial_reference import iter_degree, max_index
+
 from stablebetti.ideals import MonomialIdeal
-from stablebetti.monomials import Monomial, borel_moves, iter_degree, max_index, unit
+from stablebetti.monomials import Monomial, borel_moves, unit
 
 
 def canonical_key(u: Monomial) -> tuple:

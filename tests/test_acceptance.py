@@ -40,6 +40,7 @@ from stablebetti import (
     coupled_chain,
     ek_betti,
     enumerate_strongly_stable,
+    extremal_from_table,
     koszul_betti,
     module_corner_report,
     realize_module,
@@ -382,3 +383,64 @@ def test_c11_census_corner_sequences_round_trip(census_rows):
         module = MonomialSubmodule(n, tuple(rng.choice(by_n[n]) for _ in range(m)))
         seq = corner_sequence(ek_betti(module))
         assert corner_sequence(realize_module(_spec_of(n, seq), m).table) == seq, module
+
+
+# Boxes of the ROADMAP's module round trip with shifts: (n, generator
+# degree <= d, m components, shifts <= s) and, over the distinct nonempty
+# module corner sequences, how many realize_module rebuilds, how many are
+# uncovered, and how many are no spec (a first corner in degree 1).
+SHIFTED_MODULE_BOXES = {
+    (3, 4, 2, 2): {"realized": 206, "uncovered": 35, "refused": 13},
+    (4, 3, 2, 2): {"realized": 332, "uncovered": 51, "refused": 26},
+}
+
+
+def test_c12_shifted_module_corner_sequences_round_trip(census_rows):
+    # One census ideal per distinct table, in census order; every multiset
+    # of m of them, the first at shift 0 and the others at every sorted
+    # choice of shifts <= s. Each covered module corner sequence, read back
+    # as a spec, is rebuilt by realize_module with m components.
+    for (n, d, m, s), want in SHIFTED_MODULE_BOXES.items():
+        tables = {}
+        for member, table in census_rows:
+            if member.n == n and max(member.degrees) <= d:
+                tables.setdefault(tuple(sorted(table.entries.items())), member)
+        # A sum's corners lie among its parts' extremal entries, and a part
+        # nonzero at one has it extremal, so a module's corner sequence
+        # depends only on its parts' extremal entries and shifts: one ideal
+        # per extremal profile stands for every table that has it.
+        ideals, profiles, ids = [], {}, []
+        for member in tables.values():
+            profile = tuple(extremal_from_table(ek_betti(member)))
+            if profile not in profiles:
+                profiles[profile] = len(ideals)
+                ideals.append(member)
+            ids.append(profiles[profile])
+        multisets = itertools.combinations_with_replacement
+        shift_sets = [(0, *f) for f in multisets(range(s + 1), m - 1)]
+        sums = {
+            tuple(sorted(zip(shifts, parts)))
+            for parts in multisets(ids, m)
+            for shifts in shift_sets
+        }
+        sequences = set()
+        for parts in sums:
+            module = MonomialSubmodule(
+                n, tuple(ideals[i] for _f, i in parts), tuple(f for f, _i in parts)
+            )
+            sequences.add(tuple(corner_sequence(ek_betti(module))))
+        sequences.discard(())
+        counts = Counter()
+        for seq in sequences:
+            try:
+                spec = _spec_of(n, seq)
+            except SpecError:
+                counts["refused"] += 1
+                continue
+            if not spec.covered:
+                counts["uncovered"] += 1
+                continue
+            realized = realize_module(spec, m)
+            assert corner_sequence(realized.table) == list(seq), spec
+            counts["realized"] += 1
+        assert counts == want, (n, d, m, s)

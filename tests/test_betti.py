@@ -12,6 +12,7 @@ from corner_reference import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ideal_reference import borel_closure
+from monomial_reference import max_index
 
 from stablebetti import (
     BadRange,
@@ -25,7 +26,6 @@ from stablebetti import (
     ek_betti,
     extremal_from_table,
     koszul_betti,
-    max_index,
     minimalize,
     module_corner_report,
     render_diagram,

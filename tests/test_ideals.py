@@ -178,6 +178,56 @@ def test_every_constructor_refuses_n_below_one():
         assert caught.value.exit_code == 1
 
 
+_X1 = MonomialIdeal(2, ((1, 0),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MonomialIdeal(True, ((1,),)), "n must be an integer, got True"),
+        (lambda: MonomialIdeal(2.0, ((1, 0),)), "n must be an integer, got 2.0"),
+        (
+            lambda: MonomialIdeal.from_generators(True, [(1,)]),
+            "n must be an integer, got True",
+        ),
+        (
+            lambda: MonomialIdeal.from_strings(2.0, ["x1"]),
+            "n must be an integer, got 2.0",
+        ),
+        (lambda: minimalize(2.0, [(1, 0)]), "n must be an integer, got 2.0"),
+        (lambda: MonomialIdeal(2, (5,)), "not a sequence of exponents: 5"),
+        (lambda: MonomialIdeal(2, 5), "not a sequence of exponents: 5"),
+        (
+            lambda: MonomialIdeal.from_generators(2, ["x1"]),
+            "non-integer exponent in ('x', '1')",
+        ),
+        (lambda: _X1.contains((1.5, 0)), "monomial (1.5, 0) is not 2 int exponents"),
+        (lambda: _X1.contains((0.5, 0)), "monomial (0.5, 0) is not 2 int exponents"),
+        (lambda: _X1.contains((1, 0, 0)), "monomial (1, 0, 0) is not 2 int exponents"),
+        (lambda: _X1.contains(1), "not a sequence of exponents: 1"),
+    ],
+    ids=[
+        "bool n",
+        "float n",
+        "from_generators bool n",
+        "from_strings float n",
+        "minimalize float n",
+        "int generator",
+        "int generator list",
+        "string generator",
+        "float query above",
+        "float query below",
+        "query of another ring",
+        "int query",
+    ],
+)
+def test_public_doors_refuse_what_they_cannot_take(build, message):
+    with pytest.raises(BadRange) as caught:
+        build()
+    assert str(caught.value) == message
+    assert caught.value.exit_code == 1
+
+
 def test_float_and_bool_exponents_are_refused_and_list_generators_converted():
     new, built = MonomialIdeal, MonomialIdeal.from_generators
     for build, named in [

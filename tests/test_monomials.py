@@ -4,19 +4,18 @@ import random
 import pytest
 from chain_reference import variable
 from ideal_reference import divides
+from monomial_reference import iter_degree, max_index
 
 from stablebetti import (
     BadRange,
     MonomialSyntaxError,
     degree,
     format_monomial,
-    max_index,
     parse_monomial,
 )
 from stablebetti.monomials import (
     borel_moves,
     initial_segment,
-    iter_degree,
     mul_var,
     unit,
 )

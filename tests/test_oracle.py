@@ -8,7 +8,7 @@ from fractions import Fraction
 import census_reference
 import pytest
 from bruteforce_reference import bruteforce_realizability
-from conftest import spec
+from conftest import patch_everywhere, spec
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from ideal_reference import borel_closure
@@ -38,7 +38,7 @@ from stablebetti import (
     koszul_betti,
     parse_monomial,
 )
-from stablebetti import oracle
+from stablebetti import oracle, segments
 from stablebetti.betti import Corner
 from stablebetti.cli import run
 
@@ -514,6 +514,31 @@ def test_census_max_gens_filter():
     assert {i.to_json() for i in capped} == {i.to_json() for i in full}
     with pytest.raises(BadRange, match="need max_gens >= 1, got 0"):
         list(enumerate_strongly_stable(3, 3, max_gens=0))
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ((True, 2), "True"),
+        ((2.0, 2), "2.0"),
+        (("a", 2), "'a'"),
+        ((2, 2.5), "2.5"),
+        ((2, False), "False"),
+        ((2, 2, 1.5), "1.5"),
+        ((2, 2, True), "True"),
+    ],
+)
+def test_census_refuses_a_bound_that_is_no_int_before_any_work(
+    monkeypatch, args, named
+):
+    def refuse(*args):
+        raise AssertionError("the census listed a degree")
+
+    patch_everywhere(monkeypatch, segments.lex_walk, refuse)
+    with pytest.raises(BadRange) as caught:
+        next(enumerate_strongly_stable(*args))
+    assert str(caught.value).endswith(f"must be an integer, got {named}")
+    assert caught.value.exit_code == 1
 
 
 def test_census_guard_rails_and_budget(monkeypatch):

@@ -37,7 +37,7 @@ from stablebetti import (
     format_monomial,
     validate_positions,
 )
-from stablebetti import betti, ideals, monomials, realize_ideal
+from stablebetti import betti, ideals, realize_ideal, segments
 from stablebetti.realize_ideal import _verify_realization
 from stablebetti.cli import run
 
@@ -289,14 +289,22 @@ def test_uncovered_spec_raises_on_every_call():
 @pytest.mark.parametrize("mode", MODES)
 def test_realization_lists_no_stratum(monkeypatch, mode):
     # windows, caps, picks and blocks are all counted by lex rank, so no
-    # realization path may list a stratum or a whole degree
-    def refuse(*args, **kwargs):
-        raise AssertionError("a stratum or a whole degree was listed")
+    # realization path may list a stratum or a whole degree: the only walk
+    # (segments.lex_walk, the census's degree lister too) lists the blocks
+    walked = []
 
-    patch_everywhere(monkeypatch, monomials.iter_degree, refuse)
+    def counting_walk(first, m):
+        for u in original(first, m):
+            walked.append(u)
+            yield u
+
+    original = segments.lex_walk
+    patch_everywhere(monkeypatch, original, counting_walk)
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
     out = construct_ideal(s, mode)
     assert [len(b) for b in out.blocks] == [6, 6, 1]
+    assert walked == [g for b in out.blocks for g in b]
+    walked.clear()
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
     with pytest.raises(InfeasibleSpec):  # refused after a full search
         find_corner_matrix(s, 2, mode)
@@ -305,7 +313,16 @@ def test_realization_lists_no_stratum(monkeypatch, mode):
         MODE_STRICT: ((3, 0, 0), (1, 7, 0), (0, 1, 3)),
         MODE_COUPLED: ((1, 2, 0), (3, 3, 2), (1, 0, 3)),
     }[mode]
-    assert construct_module(s, matrix, mode).matrix == matrix
+    assert walked == []  # the search walks nothing
+    built = construct_module(s, matrix, mode)
+    assert built.matrix == matrix
+    assert walked == [g for c in built.columns for b in c.blocks for g in b]
+    walked.clear()
+    # equal columns share one construction, so their blocks are walked once
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [2, 6, 2])
+    built = construct_module(s, ((1, 1), (3, 3), (1, 1)), mode)
+    assert built.columns[0] is built.columns[1]
+    assert walked == [g for b in out.blocks for g in b]
 
 
 @st.composite

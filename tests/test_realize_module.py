@@ -451,19 +451,21 @@ def test_normalize_module_rebuilds_offending_component(bundle4):
 def test_each_component_table_is_built_once(
     monkeypatch, request, name, normalize_tables
 ):
-    # the report reads its component corners off the corner matrix's tables;
+    # the report reads its component corners off the corner matrix's tables,
+    # one per component, each of that component alone at its shift;
     # normalization builds one table per component before and after the
     # rebuild, plus one in each rebuilt column's self-verification
     module = request.getfixturevalue(name)
     tables = []
 
-    def counting_ek_betti(ideal):
-        tables.append(ideal)
-        return ek_betti(ideal)
+    def counting_ek_betti(part):
+        tables.append(part)
+        return ek_betti(part)
 
     patch_everywhere(monkeypatch, ek_betti, counting_ek_betti)
     module_corner_report(module)
-    assert tables == list(module.components)
+    parts = zip(module.components, module.shifts)
+    assert tables == [MonomialSubmodule(module.n, (c,), (f,)) for c, f in parts]
     tables.clear()
     normalize_module(module)
     assert len(tables) == normalize_tables

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from monomial_reference import iter_degree, max_index
 from window_reference import shadow, stratum_list
 
 from stablebetti import (
@@ -14,7 +15,7 @@ from stablebetti import (
     parse_monomial,
     stratum_size,
 )
-from stablebetti.monomials import degree, iter_degree, max_index
+from stablebetti.monomials import degree
 from stablebetti.segments import lex_walk, stratum_member, stratum_rank
 
 
@@ -83,6 +84,14 @@ def test_lex_walk_lists_consecutive_ranks(case):
     # left to run, the walk stops after the last rank, x_m^d
     total = math.comb(d + m - 1, m - 1)
     assert len(list(lex_walk(first, m))) == total - a + 1
+
+
+def test_lex_walk_from_the_top_lists_the_whole_degree():
+    # the census lists each degree as the walk from x1^d
+    for n in range(1, 7):
+        for d in range(0, 8):
+            top = (d,) + (0,) * (n - 1)
+            assert list(lex_walk(top, n)) == list(iter_degree(n, d)), (n, d)
 
 
 def test_shadow_matches_direct_products():

@@ -8,7 +8,9 @@ of monomials in x1..x_{k+1} filtered by comparison. The tests compare
 the two outcome for outcome.
 """
 
-from stablebetti.monomials import degree, iter_degree, mul_var
+from monomial_reference import iter_degree
+
+from stablebetti.monomials import degree, mul_var
 from stablebetti.realize_ideal import (
     MODE_STRICT,
     BoundReport,
