@@ -58,9 +58,7 @@ def _require_stable(module: MonomialSubmodule) -> None:
         if violation is not None:
             g, i, j, moved = violation
             if g is None:
-                raise NotStable(
-                    f"component {h + 1} is the zero ideal", component=h + 1
-                )
+                raise NotStable(f"component {h + 1} is the zero ideal")
             raise NotStable(
                 f"component {h + 1} is not stable: generator "
                 f"{format_monomial(g)}"
@@ -68,8 +66,7 @@ def _require_stable(module: MonomialSubmodule) -> None:
                     f" fails the exchange (i={i}, j={j}) -> {format_monomial(moved)}"
                     if moved is not None
                     else " is the unit"
-                ),
-                component=h + 1,
+                )
             )
         u = ideal.redundant_generator  # the formula needs a minimal list
         if u is not None:

@@ -54,10 +54,6 @@ class NotStable(StableBettiError):
 
     exit_code = 2
 
-    def __init__(self, message: str, component: int):
-        super().__init__(message)
-        self.component = component
-
 
 class BudgetExceeded(StableBettiError):
     """Enumeration or search exceeded its configured budget."""
@@ -68,15 +64,9 @@ class SpecError(StableBettiError):
 
 
 class InfeasibleSpec(StableBettiError):
-    """No witness exists (or none within the search budget)."""
+    """No witness exists."""
 
     exit_code = 2
-
-    def __init__(self, message: str, exhausted_budget: bool = False):
-        super().__init__(message)
-        self.exhausted_budget = exhausted_budget
-        if exhausted_budget:  # an exhausted budget is no verdict on the spec
-            self.exit_code = 1
 
 
 class UncoveredByCharacterization(StableBettiError):

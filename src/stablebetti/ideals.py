@@ -117,6 +117,12 @@ class MonomialIdeal:
 
     @classmethod
     def from_strings(cls, n: int, texts) -> "MonomialIdeal":
+        """The ideal of a list or tuple of str; BadRange names anything else."""
+        if not isinstance(texts, (list, tuple)):
+            raise BadRange(f"texts must be a list or tuple of str, got {texts!r}")
+        for t in texts:
+            if not isinstance(t, str):
+                raise BadRange(f"a monomial text must be a str, got {t!r}")
         return cls.from_generators(n, (parse_monomial(t, n) for t in texts))
 
     @property
@@ -296,17 +302,27 @@ class MonomialSubmodule:
     shifts: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if not self.components:
+        """Refuse a bad n, shift, component or shape. Components and shifts
+        given as lists are stored as tuples, so the module hashes."""
+        positive_int(self.n, "n")
+        try:
+            comps, shifts = tuple(self.components), tuple(self.shifts)
+        except TypeError:
+            raise BadRange("components and shifts must be sequences") from None
+        if not comps:
             raise BadRange("a submodule needs at least one component")
-        if not self.shifts:
-            object.__setattr__(self, "shifts", (0,) * len(self.components))
-        if len(self.shifts) != len(self.components):
+        shifts = tuple(json_int(f, "a shift", BadRange) for f in shifts)
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "shifts", shifts or (0,) * len(comps))
+        if len(self.shifts) != len(comps):
             raise BadRange("one shift per component required")
         if any(f < 0 for f in self.shifts):
             raise BadRange("shifts must be non-negative")
         if list(self.shifts) != sorted(self.shifts):
             raise BadRange("shifts must be non-decreasing")
-        for c in self.components:
+        for c in comps:
+            if not isinstance(c, MonomialIdeal):
+                raise BadRange(f"a component must be a MonomialIdeal, got {c!r}")
             if c.n != self.n:
                 raise BadRange("all components must share the ambient ring")
 

@@ -17,7 +17,7 @@ down to an explicit bottom monomial, and a shadow is everything lex above
 an explicit floor, so each cap is a difference of two lex ranks, each
 pick is an unrank, and each block of generators is a run of consecutive
 ranks (segments.lex_count, segments.lex_unrank). Each spec builds its
-windows once and keeps them, for its bounds, verdicts, chain and blocks.
+windows once (compute_bounds), for its bounds, verdicts, chain and blocks.
 
 Constructors verify their own output (strong stability, exact corner
 sequence, generators confined to the corner degrees) before returning.
@@ -69,7 +69,7 @@ class CornerSpec:
     n: int
     corners: tuple[Corner, ...]
     values: tuple[int, ...]
-    # windows by corners, shared with every sub-spec made from this spec
+    # compute_bounds' reports by corners, shared with every sub-spec
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,25 +105,6 @@ class CornerSpec:
     def covered(self) -> bool:
         """False for first degree 2 with final position 1, the undecided case."""
         return self.corners[0].ell != 2 or self.corners[-1].k != 1
-
-    @property
-    def _window_extents(self) -> tuple[tuple[Monomial, int], ...]:
-        """Per corner, the window A_i as (bottom, size): the peak-stratum
-        members from the top down to the corner's least admissible one,
-        kept by corners. An uncovered spec raises on every use."""
-        out = self._windows.get(self.corners)
-        if out is None:
-            validate_positions(self)
-            t = _tail_index(self)
-            out = []
-            for i, c in enumerate(self.corners):
-                bottom = _corner_bottom(self, i, t)
-                size = stratum_rank(bottom, c.k)
-                if not size:
-                    raise AssertionError("corner window came out empty")
-                out.append((bottom, size))
-            out = self._windows[self.corners] = tuple(out)
-        return out
 
     def sub_spec(self, rows, values=None) -> "CornerSpec":
         """The spec restricted to a subsequence of corner rows (0-based).
@@ -265,17 +246,27 @@ def _shadow_floor(spec: CornerSpec, i: int, prev: Monomial) -> Monomial:
 
 
 def compute_bounds(spec: CornerSpec) -> BoundReport:
-    """Strict value caps b_i for an admissible spec.
+    """The window memo: per corner, its window A_i and strict cap b_i.
 
     b_1 counts the first window whole; later windows lose the iterated
-    shadow of the entire previous window before counting.
+    shadow of the entire previous window before counting. Built once per
+    corners and shared with every sub-spec; an uncovered spec raises.
     """
-    out = []
-    for i, (c, (bottom, size)) in enumerate(zip(spec.corners, spec._window_extents)):
-        floor = _shadow_floor(spec, i, out[i - 1].bottom) if i else None
-        shaded = stratum_rank(floor, c.k) if i else 0
-        out.append(CornerWindow(c, bottom, size, floor, max(0, size - shaded)))
-    return BoundReport(_tail_index(spec), out)
+    report = spec._windows.get(spec.corners)
+    if report is None:
+        validate_positions(spec)
+        t = _tail_index(spec)
+        out = []
+        for i, c in enumerate(spec.corners):
+            bottom = _corner_bottom(spec, i, t)
+            size = stratum_rank(bottom, c.k)
+            if not size:
+                raise AssertionError("corner window came out empty")
+            floor = _shadow_floor(spec, i, out[i - 1].bottom) if i else None
+            shaded = stratum_rank(floor, c.k) if i else 0
+            out.append(CornerWindow(c, bottom, size, floor, max(0, size - shaded)))
+        report = spec._windows[spec.corners] = BoundReport(t, tuple(out))
+    return report
 
 
 def coupled_chain(
@@ -291,12 +282,12 @@ def coupled_chain(
     None. When values is a proper prefix, bounds carries one extra entry:
     the cap for the next position.
     """
-    windows = spec._window_extents
+    windows = compute_bounds(spec).windows
     bounds: list[int] = []
     picks: list[Monomial] = []
     for i, c in enumerate(spec.corners):
         shaded = stratum_rank(_shadow_floor(spec, i, picks[i - 1]), c.k) if i else 0
-        bounds.append(max(0, windows[i][1] - shaded))
+        bounds.append(max(0, windows[i].size - shaded))
         if i >= len(values):
             break
         if values[i] > bounds[i]:

@@ -14,13 +14,14 @@ pattern first, empty column last), entries greedily at their largest
 admissible value and decremented on backtrack. Patterns whose row
 subsequence fails position screening are never tried. The walk keeps one
 candidate generator per placed column on an explicit stack, so its depth
-does not grow with m; m itself is capped at MAX_COMPONENTS.
+does not grow with m; m itself is capped at MAX_COMPONENTS. A spent node
+budget raises BudgetExceeded, which is no verdict on the spec.
 
-Each node costs about the same. A column entry's cap depends only on the
-pattern and the entries before it (coupled) or its position (strict), so
-the search keeps one cap table by the two, and the patterns' sub-specs
-share the spec's windows. Patterns are screened by row bitmask against the
-rows already closed and the rows that the later columns cannot cover alone.
+Each node costs about the same. A column entry's coupled cap depends only
+on the pattern and the entries before it, so the search keeps one table of
+them; a strict cap is read off the pattern's windows (compute_bounds).
+Patterns are screened by row bitmask against the rows already closed and
+the rows that the later columns cannot cover alone.
 
 The last column must take exactly what is left, so each entry of the
 column before it looks ahead: if no admissible pattern could take the
@@ -133,37 +134,32 @@ def find_corner_matrix(
 ) -> CornerMatrix:
     """First matrix splitting the corner values across m components.
 
-    Raises InfeasibleSpec when the search space is exhausted (or, with
-    exhausted_budget set, when the node budget ran out first).
+    Raises InfeasibleSpec when the search space is exhausted, and
+    BudgetExceeded when the node budget runs out first.
     """
     _check_mode(mode)
     validate_module_spec(spec, m)
     r = spec.r
     patterns = _admissible_patterns(spec)
     coupled = mode == MODE_COUPLED
-    # the cap of the entry after a prefix of pattern rows, by (rows, the
-    # prefix) when coupled, by (rows, its position) when strict
-    caps: dict[tuple[tuple[int, ...], tuple[int, ...] | int], int] = {}
+    # the coupled cap of the entry after a prefix of pattern rows
+    caps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     single_cap = [stratum_size(c.k, c.ell) for c in spec.corners]
     nodes = count(1)
 
     def spend():
         if next(nodes) > node_budget:
-            raise InfeasibleSpec(
-                "corner matrix search budget exhausted; " + _tightest_row(spec),
-                exhausted_budget=True,
+            raise BudgetExceeded(
+                "corner matrix search budget exhausted; " + _tightest_row(spec)
             )
 
     def cap(rows, sub, prefix: tuple[int, ...]) -> int:
-        key = (rows, prefix if coupled else len(prefix))
+        if not coupled:  # the strict cap depends on the position alone
+            return compute_bounds(sub).windows[len(prefix)].bound
+        key = (rows, prefix)
         if key not in caps:
-            if coupled:
-                # a coupled chain meets no violation: each entry is within its cap
-                caps[key] = coupled_chain(sub, prefix)[0][-1]
-            else:
-                # one bounds report holds the caps of every position of rows
-                bounds = compute_bounds(sub).bounds
-                caps.update(((rows, p), b) for p, b in enumerate(bounds))
+            # a coupled chain meets no violation: each entry is within its cap
+            caps[key] = coupled_chain(sub, prefix)[0][-1]
         return caps[key]
 
     rem = list(spec.values)

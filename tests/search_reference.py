@@ -9,7 +9,7 @@ a small spec within the budget, in no more nodes. Past the interpreter's
 recursion limit it gives up as it does on a spent budget.
 """
 
-from stablebetti.errors import InfeasibleSpec
+from stablebetti.errors import BudgetExceeded, InfeasibleSpec
 from stablebetti.realize_ideal import (
     MODE_COUPLED,
     MODE_STRICT,
@@ -36,9 +36,9 @@ def find_corner_matrix(
 ) -> CornerMatrix:
     """First matrix splitting the corner values across m components.
 
-    Raises InfeasibleSpec when the search space is exhausted (or, with
-    exhausted_budget set, when the node budget ran out first or the
-    search nested past the interpreter's recursion limit).
+    Raises InfeasibleSpec when the search space is exhausted, and
+    BudgetExceeded when the node budget runs out first or the search
+    nests past the interpreter's recursion limit.
     """
     _check_mode(mode)
     validate_module_spec(spec, m)
@@ -55,9 +55,8 @@ def find_corner_matrix(
     def spend():
         nodes[0] += 1
         if nodes[0] > node_budget:
-            raise InfeasibleSpec(
-                "corner matrix search budget exhausted; " + _tightest_row(spec),
-                exhausted_budget=True,
+            raise BudgetExceeded(
+                "corner matrix search budget exhausted; " + _tightest_row(spec)
             )
 
     rem = list(spec.values)
@@ -138,9 +137,8 @@ def find_corner_matrix(
     except RecursionError:
         # nesting grows with m and the values; past the interpreter's
         # limit the search gives up as it does on an exhausted budget
-        raise InfeasibleSpec(
-            "corner matrix search nested too deeply; " + _tightest_row(spec),
-            exhausted_budget=True,
+        raise BudgetExceeded(
+            "corner matrix search nested too deeply; " + _tightest_row(spec)
         ) from None
     if placed:
         return found[0]

@@ -87,7 +87,7 @@ def test_unstable_input_refused():
     )
     with pytest.raises(NotStable) as err:
         ek_betti(zero_component)
-    assert err.value.component == 2
+    assert str(err.value) == "component 2 is the zero ideal"
 
 
 @pytest.mark.parametrize(
@@ -205,7 +205,7 @@ def test_corner_matrix_table_is_the_shifted_sum_of_the_columns(bundle3, bundle4)
     )
     with pytest.raises(NotStable) as info:
         corner_matrix(unstable)
-    assert info.value.component == 2
+    assert str(info.value).startswith("component 2 is not stable: ")
 
 
 def test_module_corner_report_shapes(bundle4):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ideal_reference import borel_closure
 
 from stablebetti import (
+    BudgetExceeded,
     CornerSpec,
     InfeasibleSpec,
     MonomialIdeal,
@@ -411,7 +412,8 @@ def test_realize_module_infeasible_exit_2():
 
 def test_exhausted_search_budget_exits_1(monkeypatch):
     # a feasible spec that a 2,000-node search cannot settle is refused as
-    # budget trouble (exit 1), not as an infeasible spec (exit 2)
+    # budget trouble (BudgetExceeded, exit 1), not as an infeasible spec
+    # (InfeasibleSpec, exit 2)
     monkeypatch.setattr(
         cli, "realize_module", functools.partial(realize_module, node_budget=2000)
     )
@@ -428,8 +430,8 @@ def test_exhausted_search_budget_exits_1(monkeypatch):
     code, out, err = invoke(["realize-module"], json.dumps(doc))
     assert (code, out) == (1, "")
     payload = json.loads(err)
-    assert payload["error"] == "InfeasibleSpec"
-    assert "budget exhausted" in payload["message"]
+    assert payload["error"] == "BudgetExceeded"
+    assert payload["message"].startswith("corner matrix search budget exhausted; ")
 
 
 def test_deep_corner_matrix_searches_return():
@@ -556,14 +558,24 @@ def test_census_past_its_decision_budget_exits_1(monkeypatch):
 def test_exit_code_mapping():
     assert VerificationFailed("x").exit_code == 4
     assert UncoveredByCharacterization("x").exit_code == 3
-    assert NotStable("x", 1).exit_code == 2
+    assert NotStable("x").exit_code == 2
     assert InfeasibleSpec("x").exit_code == 2
-    assert InfeasibleSpec("x", exhausted_budget=True).exit_code == 1
+    assert BudgetExceeded("x").exit_code == 1
     assert SpecError("x").exit_code == 1
 
 
 def _error_classes(cls=StableBettiError) -> list[type]:
     return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_each_error_is_a_message_with_its_class_exit_code(cls):
+    # no error sets its exit code per instance: the class alone sorts it
+    assert "__init__" not in vars(cls)
+    exc = cls("x")
+    assert str(exc) == "x"
+    assert "exit_code" not in vars(exc)
+    assert exc.exit_code == cls.exit_code
 
 
 def test_exit_code_table_in_the_cli_docstring_matches_the_error_classes():
@@ -582,7 +594,7 @@ def test_exit_code_table_in_the_cli_docstring_matches_the_error_classes():
     for name, cls in classes.items():
         assert cls.exit_code == named.get(name, 1), name
     assert "exhausted budget" in rows["1"]
-    assert InfeasibleSpec("x", exhausted_budget=True).exit_code == 1
+    assert classes["BudgetExceeded"].exit_code == 1
 
 
 _ODD_LEAF = st.none() | st.booleans() | st.just(1.5) | st.sampled_from(["", "k", "ab"])
@@ -734,13 +746,9 @@ _ERROR_CLASSES = {
 
 
 def _expected_exit(payload) -> int:
-    # each error class carries its exit code, and an InfeasibleSpec's also
-    # reads the budget flag; an error outside the package exits 1
-    cls = _ERROR_CLASSES[payload["error"]]
-    if cls is InfeasibleSpec:
-        exhausted = "budget exhausted" in payload["message"]
-        return InfeasibleSpec(payload["message"], exhausted_budget=exhausted).exit_code
-    return getattr(cls, "exit_code", 1)
+    # each error class carries its exit code; an error outside the package
+    # exits 1
+    return getattr(_ERROR_CLASSES[payload["error"]], "exit_code", 1)
 
 
 @settings(deadline=None, max_examples=400)

@@ -205,6 +205,38 @@ _X1 = MonomialIdeal(2, ((1, 0),))
         (lambda: _X1.contains((0.5, 0)), "monomial (0.5, 0) is not 2 int exponents"),
         (lambda: _X1.contains((1, 0, 0)), "monomial (1, 0, 0) is not 2 int exponents"),
         (lambda: _X1.contains(1), "not a sequence of exponents: 1"),
+        (
+            lambda: MonomialIdeal.from_strings(2, 5),
+            "texts must be a list or tuple of str, got 5",
+        ),
+        (
+            lambda: MonomialIdeal.from_strings(2, [5]),
+            "a monomial text must be a str, got 5",
+        ),
+        (
+            lambda: MonomialIdeal.from_strings(2, "x1"),
+            "texts must be a list or tuple of str, got 'x1'",
+        ),
+        (
+            lambda: MonomialSubmodule(True, (MonomialIdeal(1, ((1,),)),)),
+            "n must be an integer, got True",
+        ),
+        (
+            lambda: MonomialSubmodule(2, (_X1,), (0.5,)),
+            "a shift must be an integer, got 0.5",
+        ),
+        (
+            lambda: MonomialSubmodule(2, (_X1,), (True,)),
+            "a shift must be an integer, got True",
+        ),
+        (
+            lambda: MonomialSubmodule(1, (5,)),
+            "a component must be a MonomialIdeal, got 5",
+        ),
+        (
+            lambda: MonomialSubmodule(2, 5),
+            "components and shifts must be sequences",
+        ),
     ],
     ids=[
         "bool n",
@@ -219,6 +251,14 @@ _X1 = MonomialIdeal(2, ((1, 0),))
         "float query below",
         "query of another ring",
         "int query",
+        "from_strings int texts",
+        "from_strings int text",
+        "from_strings str texts",
+        "submodule bool n",
+        "submodule float shift",
+        "submodule bool shift",
+        "submodule int component",
+        "submodule int components",
     ],
 )
 def test_public_doors_refuse_what_they_cannot_take(build, message):
@@ -330,6 +370,11 @@ def test_submodule_validation():
         MonomialSubmodule(2, (ideal,), (-1,))
     with pytest.raises(BadRange):
         MonomialSubmodule(3, (ideal,))  # ambient mismatch
+    # components and shifts given as lists are stored as tuples, so it hashes
+    listed = MonomialSubmodule(2, [ideal, ideal], [0, 1])
+    built = MonomialSubmodule(2, (ideal, ideal), (0, 1))
+    assert type(listed.components) is type(listed.shifts) is tuple
+    assert listed == built and hash(listed) == hash(built)
 
 
 
@@ -341,6 +386,10 @@ def test_module_json_round_trip():
     assert again == module
     with pytest.raises(MonomialSyntaxError):
         MonomialSubmodule.from_obj({"n": 2, "components": [], "m": 1})
+    with pytest.raises(
+        MonomialSyntaxError, match='^module document needs a "components" key$'
+    ):
+        MonomialSubmodule.from_obj({"n": 2, "generators": ["x1"]})
 
 
 def test_parse_module_or_ideal_accepts_both_shapes():

@@ -87,12 +87,12 @@ def test_find_corner_matrix_prefers_full_pattern_first_column():
 def test_find_corner_matrix_infeasible_and_budget():
     with pytest.raises(InfeasibleSpec) as err:
         find_corner_matrix(spec(4, [(2, 2)], [7]), 2)
-    assert not err.value.exhausted_budget
-    with pytest.raises(InfeasibleSpec) as err:
+    assert err.value.exit_code == 2
+    with pytest.raises(BudgetExceeded, match="search budget exhausted; ") as err:
         find_corner_matrix(
             spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1]), 3, node_budget=2
         )
-    assert err.value.exhausted_budget
+    assert err.value.exit_code == 1
     with pytest.raises(UncoveredByCharacterization):
         find_corner_matrix(spec(3, [(1, 2)], [1]), 1)
 
@@ -105,12 +105,11 @@ def test_refusal_names_the_row_with_the_largest_exact_ratio():
     assert caps[0] > caps[1]
     assert (2 * caps[0] - 1) / (2 * caps[0]) == (2 * caps[1] - 1) / (2 * caps[1])
     s = spec(41, [(40, 30), (30, 31)], [2 * c - 1 for c in caps])
-    with pytest.raises(InfeasibleSpec, match="tightest row is corner 1 ") as err:
+    with pytest.raises(BudgetExceeded, match="tightest row is corner 1 "):
         find_corner_matrix(s, 2, node_budget=1)
-    assert err.value.exhausted_budget
     # on an exact tie the later row is named
     tie = spec(6, [(5, 2), (3, 3)], [stratum_size(5, 2), stratum_size(3, 3)])
-    with pytest.raises(InfeasibleSpec, match="tightest row is corner 2 "):
+    with pytest.raises(BudgetExceeded, match="tightest row is corner 2 "):
         find_corner_matrix(tie, 2, node_budget=1)
 
 
@@ -130,8 +129,8 @@ def _module_searches(draw):
 def _search_outcome(search, n, pairs, values, m, mode, budget):
     try:
         return search(spec(n, pairs, values), m, mode, node_budget=budget)
-    except InfeasibleSpec as exc:
-        return str(exc), exc.exhausted_budget
+    except (InfeasibleSpec, BudgetExceeded) as exc:
+        return str(exc), isinstance(exc, BudgetExceeded)
     except UncoveredByCharacterization as exc:
         return str(exc)
 
@@ -226,8 +225,10 @@ def _nodes_spent(search, s, m, mode):
     def enough(budget):
         try:
             search(s, m, mode, node_budget=budget)
-        except InfeasibleSpec as exc:
-            return not exc.exhausted_budget
+        except BudgetExceeded:
+            return False
+        except InfeasibleSpec:  # a complete refusal settles the spec too
+            pass
         return True
 
     low, high = 0, 1  # low is too small, high may not be
@@ -345,16 +346,16 @@ def test_realize_module_builds_each_distinct_window_once(monkeypatch, mode, wind
 
 
 def test_strict_search_computes_each_pattern_bounds_once(monkeypatch):
-    # one bounds report fills the caps of every position of its pattern
-    module = importlib.import_module("stablebetti.realize_module")
-    original_bounds = module.compute_bounds
+    # one window record per pattern holds the caps of all its positions
+    module = importlib.import_module("stablebetti.realize_ideal")
+    original_report = module.BoundReport
     reports = []
 
-    def counting_bounds(sub):
-        reports.append(sub.corners)
-        return original_bounds(sub)
+    def counting_report(t, windows):
+        reports.append(tuple(w.corner for w in windows))
+        return original_report(t, windows)
 
-    monkeypatch.setattr(module, "compute_bounds", counting_bounds)
+    monkeypatch.setattr(module, "BoundReport", counting_report)
     s = spec(6, [(5, 2), (3, 3), (2, 5)], [3, 8, 4])
     find_corner_matrix(s, 3, MODE_STRICT)
     assert reports and len(reports) == len(set(reports))
