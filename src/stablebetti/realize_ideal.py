@@ -328,12 +328,18 @@ def _verdict(spec: CornerSpec, mode: str, bounds) -> ValueVerdict:
     )
 
 
+def _caps(spec: CornerSpec, mode: str, values) -> tuple[int, ...] | list[int]:
+    """Each position's cap in mode, the one place the two regimes differ:
+    strict caps from the windows alone, coupled caps along values (up to
+    its first violation, or one past a proper prefix)."""
+    if mode == MODE_STRICT:
+        return compute_bounds(spec).bounds
+    return coupled_chain(spec, values)[0]
+
+
 def check_values(spec: CornerSpec, mode: str = MODE_COUPLED) -> ValueVerdict:
     """Judge the requested values against the chosen mode's caps."""
-    _check_mode(mode)
-    if mode == MODE_STRICT:
-        return _verdict(spec, mode, compute_bounds(spec).bounds)
-    return _verdict(spec, mode, coupled_chain(spec, spec.values)[0])
+    return _verdict(spec, mode, _caps(spec, _check_mode(mode), spec.values))
 
 
 @dataclass(frozen=True)
@@ -429,9 +435,10 @@ def construct_ideal(spec: CornerSpec, mode: str = MODE_COUPLED) -> IdealRealizat
             f"is {verdict.bounds[i - 1]}"
         )
     if violation is not None:
-        # strict acceptance always implies coupled acceptance
-        raise InfeasibleSpec(
-            f"corner {violation + 1} has no admissible pick in coupled mode"
+        # strict acceptance implies coupled acceptance, so this is a fault
+        raise VerificationFailed(
+            f"the strict verdict accepts corner {violation + 1}, which has no "
+            "admissible pick in coupled mode"
         )
     spans = []
     for i, c in enumerate(spec.corners):

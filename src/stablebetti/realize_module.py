@@ -17,9 +17,9 @@ candidate generator per placed column on an explicit stack, so its depth
 does not grow with m; m itself is capped at MAX_COMPONENTS. A spent node
 budget raises BudgetExceeded, which is no verdict on the spec.
 
-Each node costs about the same. A column entry's coupled cap depends only
-on the pattern and the entries before it, so the search keeps one table of
-them; a strict cap is read off the pattern's windows (compute_bounds).
+Each node costs about the same. A column entry's cap depends only on the
+pattern and the entries before it, so the search keeps one table of them,
+filled in either regime from realize_ideal._caps.
 Patterns are screened by row bitmask against the rows already closed and
 the rows that the later columns cannot cover alone.
 
@@ -52,15 +52,13 @@ from .ideals import MonomialIdeal, MonomialSubmodule
 from .monomials import mul_var, unit
 from .realize_ideal import (
     MODE_COUPLED,
-    MODE_STRICT,
     CornerSpec,
     IdealRealization,
+    _caps,
     _check_corners,
     _check_mode,
     check_values,
-    compute_bounds,
     construct_ideal,
-    coupled_chain,
     validate_positions,
 )
 from .segments import stratum_size
@@ -141,8 +139,7 @@ def find_corner_matrix(
     validate_module_spec(spec, m)
     r = spec.r
     patterns = _admissible_patterns(spec)
-    coupled = mode == MODE_COUPLED
-    # the coupled cap of the entry after a prefix of pattern rows
+    # the cap of the entry after a prefix of pattern rows
     caps: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     single_cap = [stratum_size(c.k, c.ell) for c in spec.corners]
     nodes = count(1)
@@ -154,12 +151,10 @@ def find_corner_matrix(
             )
 
     def cap(rows, sub, prefix: tuple[int, ...]) -> int:
-        if not coupled:  # the strict cap depends on the position alone
-            return compute_bounds(sub).windows[len(prefix)].bound
         key = (rows, prefix)
         if key not in caps:
-            # a coupled chain meets no violation: each entry is within its cap
-            caps[key] = coupled_chain(sub, prefix)[0][-1]
+            # each entry of a prefix is within its cap, so no walk stops early
+            caps[key] = _caps(sub, mode, prefix)[len(prefix)]
         return caps[key]
 
     rem = list(spec.values)
@@ -173,10 +168,7 @@ def find_corner_matrix(
         may_close = 0  # rows that the rest of this column may still close
         prefix = tuple(entries)
         for i in rows[len(prefix) :]:  # the next cap, then all-ones chain caps
-            top = cap(rows, sub, prefix)
-            if not top:
-                return False
-            left[i] = max(0, left[i] - top)
+            left[i] = max(0, left[i] - cap(rows, sub, prefix))
             may_close |= (not left[i]) << i
             prefix = (1,) * (len(prefix) + 1)
         must = sum(1 << i for i, v in enumerate(left) if v)
@@ -291,12 +283,8 @@ def validate_corner_matrix(
             )
         bad = verdict.first_violation
         if bad is not None:
-            cap = (
-                f"strict cap {verdict.bounds[bad - 1]}"
-                if mode == MODE_STRICT
-                else "coupled cap"
-            )
-            return False, f"column {h + 1} entry {bad} exceeds its {cap}"
+            cap = verdict.bounds[bad - 1]
+            return False, f"column {h + 1} entry {bad} exceeds its {mode} cap {cap}"
     return True, None
 
 

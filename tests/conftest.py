@@ -6,6 +6,7 @@ in degree 2) and two module bundles whose corner matrices and component
 ownership facts are known exactly.
 """
 
+import dataclasses
 import sys
 
 import pytest
@@ -107,3 +108,21 @@ def bundle3_ideals():
 @pytest.fixture(scope="session")
 def bundle3(bundle3_ideals):
     return MonomialSubmodule(6, tuple(bundle3_ideals[h] for h in (1, 2, 3)))
+
+
+def inflate_strict_cap(monkeypatch, index, by):
+    """Raise one strict cap of every spec by `by`, leaving the windows'
+    sizes, and so the coupled walk, as they are: the strict verdict then
+    accepts values no witness can carry."""
+    realize_ideal = sys.modules["stablebetti.realize_ideal"]
+    original = realize_ideal.compute_bounds
+
+    def inflated(spec):
+        report = original(spec)
+        windows = list(report.windows)
+        windows[index] = dataclasses.replace(
+            windows[index], bound=windows[index].bound + by
+        )
+        return dataclasses.replace(report, windows=tuple(windows))
+
+    monkeypatch.setattr(realize_ideal, "compute_bounds", inflated)

@@ -6,6 +6,7 @@ import re
 import time
 
 import pytest
+from conftest import inflate_strict_cap
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ideal_reference import borel_closure
@@ -462,6 +463,21 @@ def test_realize_module_refuses_more_components_than_it_builds():
             "error": "BudgetExceeded",
             "message": f"a module spec allows m <= 10000, got {m}",
         }
+
+
+def test_a_realization_that_contradicts_itself_exits_4(monkeypatch):
+    # a strict cap inflated past what the coupled walk can pick: the strict
+    # verdict accepts, construction cannot follow, and the program says so
+    inflate_strict_cap(monkeypatch, 1, 9)
+    doc = {"n": 6, "corners": [{"k": 3, "l": 3, "a": 4}, {"k": 2, "l": 5, "a": 6}]}
+    argv = ["realize-ideal", "--mode", "strict-paper"]
+    code, out, err = invoke(argv, json.dumps(doc))
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "VerificationFailed",
+        "message": "the strict verdict accepts corner 2, which has no admissible "
+        "pick in coupled mode",
+    }
 
 
 def test_realize_ideal_refuses_a_witness_past_the_generator_cap():

@@ -17,6 +17,8 @@ those three stopped ending in a RecursionError traceback. deep_search was
 then refused as a search nested too deeply; it was re-recorded as a
 realization when the search came to walk its columns on an explicit
 stack, and keeps its "bad" name so the case list stays the same.
+shifts_not_a_list, a module document whose "shifts" is no list, was
+added later to pin a refusal that no case reached.
 Any change to what a subcommand prints shows up here as a digest
 mismatch.
 """
@@ -152,6 +154,12 @@ BAD_INPUTS = {
     ),
     # nesting past the parser is malformed JSON
     "deep_json": (["betti"], "[" * 100_000),
+    "shifts_not_a_list": (
+        ["betti"],
+        json.dumps(
+            {"n": 2, "components": [{"n": 2, "generators": ["x1"]}], "shifts": 3}
+        ),
+    ),
 }
 
 
@@ -523,6 +531,12 @@ EXPECTED = {
         1,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '{"error": "JSONDecodeError", "message": "document nested too deeply: line 1 column 1 (char 0)"}\n',
+    ),
+    # recorded when a module document's non-list "shifts" got a case
+    'bad shifts_not_a_list': (
+        1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '{"error": "MonomialSyntaxError", "message": "\\"shifts\\" must be a list of integers"}\n',
     ),
 }
 

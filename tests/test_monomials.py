@@ -32,6 +32,13 @@ def test_unit_and_variable():
         variable(3, 0)
 
 
+def test_mul_var_and_format_monomial_refuse_what_they_cannot_take():
+    with pytest.raises(BadRange, match=r"^variable index 3 outside 1\.\.2$"):
+        mul_var((0, 0), 3)
+    with pytest.raises(BadRange, match="^negative exponent at x2$"):
+        format_monomial((1, -1))
+
+
 def test_degree_support_max_index():
     u = (2, 0, 3, 1)
     assert degree(u) == 6

@@ -8,7 +8,7 @@ import time
 import chain_reference
 import pytest
 import window_reference as reference
-from conftest import patch_everywhere, spec
+from conftest import inflate_strict_cap, patch_everywhere, spec
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -398,6 +398,33 @@ def test_rank_arithmetic_matches_the_listing_reference(s, mode, data):
     assert list(out.blocks) == reference.blocks(s, list(out.picks))
 
 
+@st.composite
+def _covered_positions(draw):
+    """n <= 10, r <= 5, degree steps 1..3, positions passing the screen;
+    every value 1."""
+    n = draw(st.integers(2, 10))
+    r = draw(st.integers(1, min(5, n - 1)))
+    ks = sorted(draw(st.sets(st.integers(1, n - 1), min_size=r, max_size=r)))
+    first = draw(st.integers(2, 4))
+    steps = draw(st.lists(st.integers(1, 3), min_size=r - 1, max_size=r - 1))
+    s = spec(n, zip(reversed(ks), itertools.accumulate([first] + steps)), [1] * r)
+    assume(s.covered)
+    return s
+
+
+@settings(deadline=None, max_examples=200)
+@given(_covered_positions(), st.data())
+def test_every_cap_is_at_least_its_strict_cap_and_at_least_one(s, data):
+    # the corner-matrix search relies on this: no entry's cap is ever 0
+    strict = realize_ideal._caps(s, MODE_STRICT, s.values)
+    assert min(strict) >= 1
+    prefix = []  # each pick within its cap stays at or above its window's bottom
+    for i in range(s.r):
+        cap = realize_ideal._caps(s, MODE_COUPLED, prefix)[i]
+        assert cap >= strict[i]
+        prefix.append(data.draw(st.integers(1, cap)))
+
+
 def test_realize_ideal_computes_one_witness_table(monkeypatch):
     # the table printed is the one verification computed
     tables = []
@@ -501,6 +528,53 @@ def test_verify_realization_refuses_a_misordered_plan():
         with pytest.raises(VerificationFailed, match="not in canonical order$"):
             _verify_realization(MonomialIdeal(6, tuple(swapped)), s)
     _verify_realization(MonomialIdeal(6, tuple(planned)), s)
+
+
+def test_verify_realization_refuses_a_wrong_corner_sequence():
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [1, 3, 1])
+    planned = _planned(s)[:-1]  # without x3^5, the last corner's generator
+    with pytest.raises(VerificationFailed) as err:
+        _verify_realization(MonomialIdeal(6, tuple(planned)), s)
+    assert str(err.value) == (
+        "constructed ideal has corner sequence [((5, 2), 1), ((3, 3), 3)], "
+        "wanted [((5, 2), 1), ((3, 3), 3), ((2, 5), 1)]"
+    )
+
+
+def test_verify_realization_refuses_an_unstable_ideal():
+    # canonical and minimal, but x1*x2, a Borel move of x2^2, is missing
+    unstable = MonomialIdeal(2, ((2, 0), (0, 2)))
+    message = "^constructed ideal is not strongly stable$"
+    with pytest.raises(VerificationFailed, match=message):
+        _verify_realization(unstable, spec(2, [(1, 2)], [1]))
+
+
+def test_verify_realization_refuses_generators_off_the_corner_degrees():
+    # a stable, canonical, minimal plan with a degree-4 block, for corners
+    # in degrees 2 and 5
+    planned = MonomialIdeal(4, tuple(_planned(spec(4, [(3, 2), (2, 4)], [1, 1]))))
+    with pytest.raises(
+        VerificationFailed,
+        match="^constructed ideal has generators outside the corner degrees$",
+    ):
+        _verify_realization(planned, spec(4, [(3, 2), (2, 5)], [1, 1]))
+
+
+def test_a_strict_verdict_the_coupled_walk_contradicts_is_a_fault(monkeypatch):
+    # strict acceptance implies coupled acceptance; a program that breaks
+    # it contradicts itself, which says nothing about the spec
+    s = spec(6, [(3, 3), (2, 5)], [4, 6])  # strict caps (7, 1), coupled (7, 5)
+    inflate_strict_cap(monkeypatch, 1, 9)
+    assert check_values(s, MODE_STRICT).feasible
+    with pytest.raises(VerificationFailed) as err:
+        construct_ideal(s, MODE_STRICT)
+    assert str(err.value) == (
+        "the strict verdict accepts corner 2, which has no admissible pick in "
+        "coupled mode"
+    )
+    # the coupled verdict gates its own mode, as before
+    with pytest.raises(InfeasibleSpec, match="^corner 2 requests 6 but the coupled"):
+        construct_ideal(s, MODE_COUPLED)
 
 
 def test_witness_size_is_capped_before_any_generator_is_listed(monkeypatch):

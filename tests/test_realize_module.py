@@ -20,6 +20,7 @@ from stablebetti import (
     MonomialSubmodule,
     SpecError,
     UncoveredByCharacterization,
+    VerificationFailed,
     compute_bounds,
     construct_module,
     corner_matrix,
@@ -215,7 +216,10 @@ def test_validate_corner_matrix_checks_mode_bounds():
     assert validate_corner_matrix(s, ((4,), (2,)))[0]  # coupled default
     ok, reason = validate_corner_matrix(s, ((4,), (2,)), MODE_STRICT)
     assert not ok
-    assert "strict cap" in reason
+    assert reason == "column 1 entry 2 exceeds its strict-paper cap 1"
+    # both regimes word a refusal alike, each naming its cap
+    ok, reason = validate_corner_matrix(spec(6, [(3, 3), (2, 5)], [8, 2]), ((8,), (2,)))
+    assert (ok, reason) == (False, "column 1 entry 1 exceeds its coupled cap 7")
 
 
 def _nodes_spent(search, s, m, mode):
@@ -243,10 +247,9 @@ def _nodes_spent(search, s, m, mode):
 @pytest.mark.parametrize("m", [2, 3])
 def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m):
     # the package re-exports shadow the submodule names, so fetch the module
-    search_module = importlib.import_module("stablebetti.realize_module")
     ideal_module = importlib.import_module("stablebetti.realize_ideal")
     original_bottom = ideal_module._corner_bottom
-    original_chain = search_module.coupled_chain
+    original_chain = ideal_module.coupled_chain
     window_sets = []  # the corners of every sub-spec whose windows are built
     chains = []  # (pattern corners, prefix) of every chain the search walks
     reference_chains = []  # the same for the unmemoised reference search
@@ -264,7 +267,8 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
         return chain
 
     monkeypatch.setattr(ideal_module, "_corner_bottom", counting_bottom)
-    monkeypatch.setattr(search_module, "coupled_chain", counting_chain(chains))
+    # the search reads every cap through realize_ideal._caps
+    monkeypatch.setattr(ideal_module, "coupled_chain", counting_chain(chains))
     monkeypatch.setattr(
         search_reference, "coupled_chain", counting_chain(reference_chains)
     )
@@ -305,6 +309,25 @@ def test_coupled_search_builds_one_window_set_per_column_attempt(monkeypatch, m)
             reference = search_reference.find_corner_matrix
             assert nodes <= _nodes_spent(reference, s, m, mode)
             assert kept <= nodes * s.r * (1 + 2**s.r)
+
+
+def test_construct_module_refuses_columns_built_for_another_split(monkeypatch):
+    # each column is built for the other's entries: the sums, and so the
+    # module's corners, still agree, but the matrix read back does not
+    module = importlib.import_module("stablebetti.realize_module")
+    original = module.construct_ideal
+    swap = {(1, 3, 1): (1, 2, 1), (1, 2, 1): (1, 3, 1)}
+
+    def construct_swapped(sub, mode):
+        return original(sub.sub_spec(range(sub.r), swap[sub.values]), mode)
+
+    monkeypatch.setattr(module, "construct_ideal", construct_swapped)
+    s = spec(6, [(5, 2), (3, 3), (2, 5)], [2, 5, 2])
+    with pytest.raises(VerificationFailed) as err:
+        construct_module(s, ((1, 1), (3, 2), (1, 1)))
+    assert str(err.value) == (
+        "assembled module does not reproduce the requested corner matrix"
+    )
 
 
 def test_construct_module_builds_each_column_window_once(monkeypatch):
